@@ -11,8 +11,7 @@
 // Preset selection: --preset=smoke-4e3|full-1e5|xl-1e6 (default full-1e5).
 // SUBREC_BENCH_SMOKE=1 forces smoke-4e3 regardless of the flag, so the CI
 // harness never accidentally runs the big scales. xl-1e6 is the
-// 10^6-paper scale run (~2-3 GB peak); it skips the legacy-build baseline,
-// which would take tens of minutes at that size.
+// 10^6-paper scale run (~2-3 GB peak).
 
 #include <algorithm>
 #include <chrono>
@@ -139,7 +138,6 @@ int RunAnnRecall(int argc, char** argv) {
     return 1;
   }
   const bool smoke = scale == datagen::AnnCorpusScale::kSmoke;
-  const bool xl = scale == datagen::AnnCorpusScale::kXl;
 
   bench::PrintHeader("ann_recall: HNSW recall@10 vs latency (exact oracle)");
   obs::RunReport report = bench::OpenReport("ann_recall");
@@ -180,32 +178,16 @@ int RunAnnRecall(int argc, char** argv) {
   const auto queries =
       BuildQueries(gen, history_papers, smoke ? 64 : 200, /*seed=*/31);
 
-  // Build-throughput section: the arena + SIMD-kernel build against the
-  // pre-refactor nested-vector baseline (HnswOptions::legacy_build), both
-  // single-threaded on this host back to back so the speedup ratio cancels
-  // host drift. The xl preset skips the baseline — the legacy path at 5e5
-  // nodes would take tens of minutes and proves nothing the 1e5 A/B
-  // doesn't. Both paths produce byte-identical graphs (tests/ann_test.cc
-  // pins them to a pre-refactor golden), so the sweep below is unaffected
-  // by which build is kept.
+  // Single-threaded build time, so the figure does not depend on the
+  // host's core count.
   const double pool_nodes = static_cast<double>(ids.size());
   {
     par::ScopedNumThreads single(1);
-    const double arena_t1 =
+    const double t1 =
         TimedBuildSeconds(ids, vectors, dim, ann::HnswOptions{}, nullptr);
-    report.AddScalar("ann.build.seconds.t1", arena_t1);
-    std::printf("hnsw build (threads=1): %.3fs (%.0f nodes/s)\n", arena_t1,
-                pool_nodes / arena_t1);
-    if (!xl) {
-      ann::HnswOptions legacy;
-      legacy.legacy_build = true;
-      const double legacy_t1 =
-          TimedBuildSeconds(ids, vectors, dim, legacy, nullptr);
-      report.AddScalar("ann.build.seconds.legacy_t1", legacy_t1);
-      report.AddScalar("ann.build.speedup_vs_baseline", legacy_t1 / arena_t1);
-      std::printf("legacy build (threads=1): %.3fs -> speedup %.2fx\n",
-                  legacy_t1, legacy_t1 / arena_t1);
-    }
+    report.AddScalar("ann.build.seconds.t1", t1);
+    std::printf("hnsw build (threads=1): %.3fs (%.0f nodes/s)\n", t1,
+                pool_nodes / t1);
   }
   ann::ExactIndex exact(ids, vectors, dim);
   std::unique_ptr<ann::HnswIndex> hnsw;

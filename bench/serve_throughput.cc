@@ -1,14 +1,10 @@
 // Serving load generator: freezes a trained NPRec into a snapshot, serves
-// it through RecommendService, and reports (a) frozen-vs-live top-N parity,
-// (b) closed-loop throughput scaling from 1 to 4 workers (cache off),
-// (c) the pairwise-vs-gemm scorer-mode comparison — per-mode latency
-// percentiles at the service level plus scorer-stage mean latency at the
-// fixed 4096-candidate acceptance shape, with a counting operator new
-// proving the steady-state gemm loop never touches the heap — and
-// (d) an open-loop run at a target QPS with the cache on and a mid-run
-// snapshot hot reload. Latency percentiles are computed exactly from
+// it through RecommendService, and reports (a) frozen-vs-live top-N parity
+// and (b) an open-loop run at a target QPS with the cache on and a mid-run
+// snapshot hot reload, plus the statusz page and metrics JSON captured at
+// the end of that run. Latency percentiles are computed exactly from
 // per-request monotonic timestamps. SUBREC_BENCH_SMOKE=1 shrinks the corpus
-// and the request counts to CI scale.
+// and the request rate to CI scale.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,7 +12,6 @@
 #include <cstdlib>
 #include <deque>
 #include <memory>
-#include <new>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,100 +29,12 @@
 #include "serve/service.h"
 #include "serve/snapshot.h"
 
-// --- Allocation probe -------------------------------------------------------
-// Binary-wide counting operator new (same shape as the unit-test probe in
-// tests/obs_serving_test.cc): malloc/free pass-through plus a thread-local
-// counter bump. The scorer-mode section resets the counter after warmup
-// and proves the steady-state gemm scoring loop is allocation-free on the
-// measuring thread.
-
-namespace {
-
-thread_local int64_t g_thread_allocs = 0;
-
-void* ProbeAlloc(std::size_t size) {
-  g_thread_allocs += 1;
-  void* p = std::malloc(size > 0 ? size : 1);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-void* ProbeAlignedAlloc(std::size_t size, std::size_t align) {
-  g_thread_allocs += 1;
-  // aligned_alloc requires the size to be a multiple of the alignment.
-  const std::size_t rounded = (size + align - 1) / align * align;
-  void* p = std::aligned_alloc(align, rounded > 0 ? rounded : align);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return ProbeAlloc(size); }
-void* operator new[](std::size_t size) { return ProbeAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return ProbeAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ProbeAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-// Nothrow variants must be replaced too: pairing the default nothrow new
-// with the probe's free-based delete mismatches allocators.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_thread_allocs += 1;
-  return std::malloc(size > 0 ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_thread_allocs += 1;
-  return std::malloc(size > 0 ? size : 1);
-}
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  g_thread_allocs += 1;
-  const std::size_t a = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  return std::aligned_alloc(a, rounded > 0 ? rounded : a);
-}
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t&) noexcept {
-  g_thread_allocs += 1;
-  const std::size_t a = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  return std::aligned_alloc(a, rounded > 0 ? rounded : a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace {
 
 using namespace subrec;
 
 struct LoadConfig {
   datagen::DatasetScale scale = datagen::DatasetScale::kSmall;
-  size_t closed_loop_requests = 50000;
   double target_qps = 5000.0;
   double open_loop_seconds = 4.0;
   size_t user_pool = 32;
@@ -137,7 +44,6 @@ LoadConfig MakeConfig() {
   LoadConfig config;
   if (bench::SmokeMode()) {
     config.scale = datagen::DatasetScale::kTiny;
-    config.closed_loop_requests = 20000;
     config.target_qps = 2000.0;
     config.open_loop_seconds = 1.0;
   }
@@ -214,30 +120,6 @@ double TopNParity(const rec::RecContext& ctx, const rec::NPRec& model,
   return static_cast<double>(matches) / static_cast<double>(users.size());
 }
 
-/// Closed loop: every request enqueued up front, pool drains at full tilt.
-/// Returns {qps, service latencies}.
-std::pair<double, std::vector<int64_t>> ClosedLoop(
-    serve::RecommendService* service, const std::vector<int32_t>& users,
-    size_t num_requests) {
-  std::vector<serve::RecRequest> requests;
-  requests.reserve(num_requests);
-  for (size_t i = 0; i < num_requests; ++i)
-    requests.push_back({users[i % users.size()], 10});
-  const int64_t start_ns = obs::NowNs();
-  const std::vector<serve::RecResponse> responses =
-      service->TopNBatch(requests);
-  const int64_t elapsed_ns = obs::NowNs() - start_ns;
-  std::vector<int64_t> latencies;
-  latencies.reserve(responses.size());
-  for (const serve::RecResponse& r : responses) {
-    SUBREC_CHECK(r.status.ok()) << r.status.ToString();
-    latencies.push_back(r.done_ns - r.enqueue_ns);
-  }
-  const double qps = static_cast<double>(num_requests) /
-                     (static_cast<double>(elapsed_ns) / 1e9);
-  return {qps, std::move(latencies)};
-}
-
 }  // namespace
 
 int main() {
@@ -288,171 +170,6 @@ int main() {
   std::printf("parity: frozen top-10 == live top-10 for %.1f%% of %zu users\n",
               parity * 100.0, users.size());
   SUBREC_CHECK(parity == 1.0) << "frozen scorer diverged from live NPRec";
-
-  // --- Scaling: closed loop, cache off, 1 vs 4 workers. ------------------
-  bench::PrintHeader("serve_throughput: worker scaling (cache off)");
-  double qps_by_threads[2] = {0.0, 0.0};
-  const size_t thread_counts[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    serve::ServeOptions options;
-    options.num_threads = thread_counts[i];
-    options.cache_capacity = 0;
-    options.batch_size = 64;
-    serve::RecommendService service(options);
-    SUBREC_CHECK(service.LoadSnapshotFile(snapshot_path).ok());
-    auto [qps, latencies] =
-        ClosedLoop(&service, users, config.closed_loop_requests);
-    qps_by_threads[i] = qps;
-    const std::string prefix =
-        "scaling.t" + std::to_string(thread_counts[i]);
-    report.AddScalar(prefix + ".qps", qps);
-    report.AddScalar(prefix + ".p50_us", PercentileUs(latencies, 0.50));
-    report.AddScalar(prefix + ".p95_us", PercentileUs(latencies, 0.95));
-    report.AddScalar(prefix + ".p99_us", PercentileUs(latencies, 0.99));
-    std::printf("%zu worker(s): %10.0f qps  p50 %.1fus  p99 %.1fus\n",
-                thread_counts[i], qps, PercentileUs(latencies, 0.50),
-                PercentileUs(latencies, 0.99));
-  }
-  const double speedup = qps_by_threads[1] / qps_by_threads[0];
-  report.AddScalar("scaling.speedup", speedup);
-  if (bench::SingleCoreHost()) {
-    std::printf("speedup 1 -> 4 workers: %.2fx — single-core host, extra "
-                "workers only time-slice; not a parallel-scaling result\n",
-                speedup);
-  } else {
-    std::printf("speedup 1 -> 4 workers: %.2fx (host has %u cpus)\n", speedup,
-                std::thread::hardware_concurrency());
-  }
-
-  // --- Scorer mode: per-pair oracle vs batched GEMM. ---------------------
-  bench::PrintHeader("serve_throughput: scorer mode (pairwise vs gemm)");
-  const serve::ScorerMode kModes[2] = {serve::ScorerMode::kPairwise,
-                                       serve::ScorerMode::kGemm};
-
-  // Service level: the identical closed loop under each mode, cache off and
-  // one worker so every request pays the scorer. Fewer requests than the
-  // scaling loop — the pairwise oracle is the slow path by design.
-  const size_t mode_requests = config.closed_loop_requests / 10;
-  double mode_qps[2] = {0.0, 0.0};
-  for (int i = 0; i < 2; ++i) {
-    serve::ServeOptions options;
-    options.num_threads = 1;
-    options.cache_capacity = 0;
-    options.batch_size = 64;
-    options.scorer_mode = kModes[i];
-    serve::RecommendService mode_service(options);
-    SUBREC_CHECK(mode_service.LoadSnapshotFile(snapshot_path).ok());
-    auto [qps, latencies] = ClosedLoop(&mode_service, users, mode_requests);
-    mode_qps[i] = qps;
-    const std::string prefix =
-        std::string("serve.scorer_mode.") + serve::ScorerModeName(kModes[i]);
-    report.AddScalar(prefix + ".qps", qps);
-    report.AddScalar(prefix + ".p50_us", PercentileUs(latencies, 0.50));
-    report.AddScalar(prefix + ".p95_us", PercentileUs(latencies, 0.95));
-    report.AddScalar(prefix + ".p99_us", PercentileUs(latencies, 0.99));
-    std::printf("mode %-8s: %10.0f qps  p50 %.1fus  p99 %.1fus\n",
-                serve::ScorerModeName(kModes[i]), qps,
-                PercentileUs(latencies, 0.50), PercentileUs(latencies, 0.99));
-  }
-  const double mode_speedup = mode_qps[1] / mode_qps[0];
-  report.AddScalar("serve.scorer_mode.service_speedup", mode_speedup);
-  std::printf("service qps, gemm over pairwise: %.2fx\n", mode_speedup);
-
-  // Scorer stage at the acceptance shape: 16 profile rows x dim x 4096
-  // candidates. Profile and candidate-list sizes at bench scale are
-  // corpus-dependent, so cycle the snapshot's papers into fixed-size lists
-  // (duplicates are fine — the scorer treats every entry independently).
-  const size_t kAcceptN = 4096;
-  const size_t kAcceptProfile = 16;
-  const size_t frozen_papers = state->scorer.num_papers();
-  SUBREC_CHECK(frozen_papers > 0);
-  std::vector<int32_t> accept_candidates(kAcceptN);
-  for (size_t i = 0; i < kAcceptN; ++i)
-    accept_candidates[i] = static_cast<int32_t>(i % frozen_papers);
-  std::vector<int32_t> accept_profile(kAcceptProfile);
-  for (size_t i = 0; i < kAcceptProfile; ++i)
-    accept_profile[i] = static_cast<int32_t>(i % frozen_papers);
-  std::vector<serve::ScoredPaper> accept_out;
-  const size_t stage_reps = bench::SmokeMode() ? 8 : 32;
-  double stage_mean_ns[2] = {0.0, 0.0};
-  for (int i = 0; i < 2; ++i) {
-    // One warm call: scratch buffers grow, metric handles resolve.
-    state->scorer.TopNInto(accept_profile, accept_candidates, 10, kModes[i],
-                           nullptr, nullptr, &accept_out);
-    const int64_t t0 = obs::NowNs();
-    for (size_t r = 0; r < stage_reps; ++r) {
-      state->scorer.TopNInto(accept_profile, accept_candidates, 10, kModes[i],
-                             nullptr, nullptr, &accept_out);
-    }
-    stage_mean_ns[i] =
-        static_cast<double>(obs::NowNs() - t0) / static_cast<double>(stage_reps);
-    report.AddScalar(std::string("serve.scorer_stage.") +
-                         serve::ScorerModeName(kModes[i]) + ".mean_us_n4096",
-                     stage_mean_ns[i] / 1e3);
-  }
-  const double stage_speedup = stage_mean_ns[0] / stage_mean_ns[1];
-  report.AddScalar("serve.scorer_stage.dim",
-                   static_cast<double>(state->scorer.dim()));
-  report.AddScalar("serve.scorer_stage.gemm_speedup_n4096", stage_speedup);
-  std::printf(
-      "scorer stage at m=%zu k=%zu n=%zu: pairwise %.1fus  gemm %.1fus  "
-      "speedup %.2fx\n",
-      kAcceptProfile, state->scorer.dim(), kAcceptN, stage_mean_ns[0] / 1e3,
-      stage_mean_ns[1] / 1e3, stage_speedup);
-
-  // Steady-state allocation probe: the calls above warmed every grow-only
-  // buffer on this thread, so from here on the gemm scoring loop must not
-  // allocate at all.
-  g_thread_allocs = 0;
-  for (int r = 0; r < 16; ++r) {
-    state->scorer.TopNInto(accept_profile, accept_candidates, 10,
-                           serve::ScorerMode::kGemm, nullptr, nullptr,
-                           &accept_out);
-  }
-  const int64_t steady_allocs = g_thread_allocs;
-  report.AddScalar("serve.scorer_stage.steady_state_allocs",
-                   static_cast<double>(steady_allocs));
-  std::printf("steady-state gemm scoring loop: %lld heap allocations\n",
-              static_cast<long long>(steady_allocs));
-  SUBREC_CHECK(steady_allocs == 0)
-      << "steady-state gemm scoring allocated " << steady_allocs << " times";
-  if (bench::SmokeMode()) {
-    // CI-smoke guard: the batched path must not regress below the oracle.
-    SUBREC_CHECK(stage_speedup > 1.0)
-        << "gemm scorer slower than pairwise oracle: " << stage_speedup << "x";
-  }
-
-  // --- Retrieval mode: filtered scan vs ANN graph walk. ------------------
-  // The same closed loop under each candidate-retrieval branch, one worker
-  // and cache off so every request pays retrieval + scoring on the lists
-  // that branch builds. kAnnEmbedding queries the frozen HnswIndex once
-  // per user at snapshot load (the per-request cost is the smaller list it
-  // produces), so this measures the serving cost profile of ANN retrieval
-  // end to end, load included.
-  bench::PrintHeader("serve_throughput: retrieval mode (filtered vs ann)");
-  const serve::RetrievalMode kRetrievals[2] = {
-      serve::RetrievalMode::kFiltered, serve::RetrievalMode::kAnnEmbedding};
-  const char* kRetrievalNames[2] = {"filtered", "ann_embedding"};
-  for (int i = 0; i < 2; ++i) {
-    serve::ServeOptions options;
-    options.num_threads = 1;
-    options.cache_capacity = 0;
-    options.batch_size = 64;
-    options.index.retrieval = kRetrievals[i];
-    serve::RecommendService retrieval_service(options);
-    SUBREC_CHECK(retrieval_service.LoadSnapshotFile(snapshot_path).ok());
-    auto [qps, latencies] =
-        ClosedLoop(&retrieval_service, users, mode_requests);
-    const std::string prefix =
-        std::string("serve.retrieval.") + kRetrievalNames[i];
-    report.AddScalar(prefix + ".qps", qps);
-    report.AddScalar(prefix + ".p50_us", PercentileUs(latencies, 0.50));
-    report.AddScalar(prefix + ".p95_us", PercentileUs(latencies, 0.95));
-    report.AddScalar(prefix + ".p99_us", PercentileUs(latencies, 0.99));
-    std::printf("retrieval %-13s: %10.0f qps  p50 %.1fus  p99 %.1fus\n",
-                kRetrievalNames[i], qps, PercentileUs(latencies, 0.50),
-                PercentileUs(latencies, 0.99));
-  }
 
   // --- Open loop at target QPS, cache on, hot reload mid-run. ------------
   bench::PrintHeader("serve_throughput: open loop at target QPS (cache on)");

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
 #include <utility>
 
+#include "common/rng.h"
 #include "common/wire.h"
 #include "la/ann_kernel.h"
 #include "par/parallel.h"
@@ -38,13 +39,6 @@ constexpr size_t kBuildGrain = 16;
 // Upper bound on ef_construction, enforced identically by Build and
 // Deserialize so every index that can be built can also be loaded.
 constexpr uint32_t kMaxEfConstruction = uint32_t{1} << 20;
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 /// Level for node `i`: geometric with ratio 1/M, from a hash of (seed, i)
 /// alone — independent of thread count, insertion order, and batch shape.
@@ -490,221 +484,6 @@ void HnswIndex::CommitBatch(size_t start, size_t count,
   }
 }
 
-namespace {
-
-/// The pre-arena build algorithm, preserved bit-for-bit for same-host A/B
-/// benchmarking (ann.build.speedup_vs_baseline) and for the golden
-/// pre-refactor snapshot test: nested-vector links, per-search heap
-/// allocations, scalar one-at-a-time distances, and a diversity
-/// re-selection after EVERY over-capacity back-link. Structurally a copy
-/// of the old HnswIndex internals operating on borrowed index fields; the
-/// result is packed into the arena when it finishes.
-struct LegacyBuilder {
-  using DistNode = std::pair<double, int32_t>;
-
-  struct Scratch {
-    std::vector<uint8_t> stamp;
-    uint8_t epoch = 0;
-    void NextEpoch(size_t n) {
-      if (stamp.size() < n) stamp.assign(n, 0);
-      ++epoch;
-      if (epoch == 0) {
-        std::fill(stamp.begin(), stamp.end(), uint8_t{0});
-        epoch = 1;
-      }
-    }
-    bool Visited(int32_t node) const {
-      return stamp[static_cast<size_t>(node)] == epoch;
-    }
-    void Mark(int32_t node) { stamp[static_cast<size_t>(node)] = epoch; }
-  };
-
-  struct Plan {
-    std::vector<std::vector<int32_t>> links;
-  };
-
-  size_t dim;
-  int M;
-  int ef_construction;
-  const std::vector<double>& vectors;
-  const std::vector<int32_t>& levels;
-  std::vector<std::vector<std::vector<int32_t>>> links;
-  int32_t max_level = -1;
-  int32_t entry = -1;
-
-  double Dist(int32_t node, const double* query) const {
-    const double* v = vectors.data() + static_cast<size_t>(node) * dim;
-    double dot = 0.0;
-    for (size_t d = 0; d < dim; ++d) dot += query[d] * v[d];
-    return -dot;
-  }
-
-  void GreedyStep(const double* query, int32_t level, int32_t* cur,
-                  double* cur_dist) const {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (int32_t nb :
-           links[static_cast<size_t>(*cur)][static_cast<size_t>(level)]) {
-        const double d = Dist(nb, query);
-        if (d < *cur_dist || (d == *cur_dist && nb < *cur)) {
-          *cur_dist = d;
-          *cur = nb;
-          improved = true;
-        }
-      }
-    }
-  }
-
-  void SearchLayer(const double* query, int32_t first, size_t ef,
-                   int32_t level, Scratch* scratch,
-                   std::vector<DistNode>* out) const {
-    scratch->NextEpoch(levels.size());
-    std::priority_queue<DistNode, std::vector<DistNode>,
-                        std::greater<DistNode>>
-        frontier;
-    std::priority_queue<DistNode> best;
-    const double entry_dist = Dist(first, query);
-    frontier.emplace(entry_dist, first);
-    best.emplace(entry_dist, first);
-    scratch->Mark(first);
-    while (!frontier.empty()) {
-      const DistNode cand = frontier.top();
-      if (best.size() >= ef && cand > best.top()) break;
-      frontier.pop();
-      for (int32_t nb : links[static_cast<size_t>(cand.second)]
-                             [static_cast<size_t>(level)]) {
-        if (scratch->Visited(nb)) continue;
-        scratch->Mark(nb);
-        const double d = Dist(nb, query);
-        if (best.size() < ef || DistNode(d, nb) < best.top()) {
-          frontier.emplace(d, nb);
-          best.emplace(d, nb);
-          if (best.size() > ef) best.pop();
-        }
-      }
-    }
-    out->clear();
-    out->resize(best.size());
-    for (size_t i = best.size(); i-- > 0;) {
-      (*out)[i] = best.top();
-      best.pop();
-    }
-  }
-
-  std::vector<int32_t> SelectNeighbors(const std::vector<DistNode>& candidates,
-                                       size_t max_links) const {
-    std::vector<int32_t> selected;
-    selected.reserve(std::min(max_links, candidates.size()));
-    for (const DistNode& cand : candidates) {
-      if (selected.size() >= max_links) break;
-      const double* cand_vec =
-          vectors.data() + static_cast<size_t>(cand.second) * dim;
-      bool diverse = true;
-      for (int32_t kept : selected) {
-        if (Dist(kept, cand_vec) < cand.first) {
-          diverse = false;
-          break;
-        }
-      }
-      if (diverse) selected.push_back(cand.second);
-    }
-    return selected;
-  }
-
-  Plan PlanInsert(size_t node, Scratch* scratch) const {
-    const double* query = vectors.data() + node * dim;
-    const int32_t node_level = levels[node];
-    Plan plan;
-    plan.links.resize(static_cast<size_t>(node_level) + 1);
-    int32_t cur = entry;
-    double cur_dist = Dist(cur, query);
-    for (int32_t lev = max_level; lev > node_level; --lev)
-      GreedyStep(query, lev, &cur, &cur_dist);
-    std::vector<DistNode> candidates;
-    for (int32_t lev = std::min(node_level, max_level); lev >= 0; --lev) {
-      SearchLayer(query, cur, static_cast<size_t>(ef_construction), lev,
-                  scratch, &candidates);
-      plan.links[static_cast<size_t>(lev)] =
-          SelectNeighbors(candidates, static_cast<size_t>(M));
-      cur = candidates.front().second;
-      cur_dist = candidates.front().first;
-    }
-    return plan;
-  }
-
-  void CommitInsert(size_t node, Plan plan) {
-    const int32_t node_level = levels[node];
-    for (size_t lev = 0; lev < plan.links.size(); ++lev)
-      links[node][lev] = std::move(plan.links[lev]);
-    const auto self = static_cast<int32_t>(node);
-    for (size_t lev = 0; lev < links[node].size(); ++lev) {
-      const size_t cap =
-          lev == 0 ? 2 * static_cast<size_t>(M) : static_cast<size_t>(M);
-      for (int32_t nb : links[node][lev]) {
-        auto& back = links[static_cast<size_t>(nb)][lev];
-        back.push_back(self);
-        if (back.size() <= cap) continue;
-        const double* nb_vec =
-            vectors.data() + static_cast<size_t>(nb) * dim;
-        std::vector<DistNode> resort(back.size());
-        for (size_t j = 0; j < back.size(); ++j)
-          resort[j] = DistNode(Dist(back[j], nb_vec), back[j]);
-        std::sort(resort.begin(), resort.end());
-        back = SelectNeighbors(resort, cap);
-      }
-    }
-    if (node_level > max_level) {
-      max_level = node_level;
-      entry = self;
-    }
-  }
-
-  void Run() {
-    const size_t n = levels.size();
-    links.resize(n);
-    for (size_t i = 0; i < n; ++i)
-      links[i].resize(static_cast<size_t>(levels[i]) + 1);
-    if (n == 0) return;
-    entry = 0;
-    max_level = levels[0];
-    size_t start = 1;
-    std::vector<Plan> plans;
-    while (start < n) {
-      const size_t batch = std::min({start, kMaxBatch, n - start});
-      plans.clear();
-      plans.resize(batch);
-      const LegacyBuilder* frozen = this;
-      par::ParallelFor(batch, kBuildGrain,
-                       [frozen, &plans, start](size_t begin, size_t end) {
-                         Scratch scratch;
-                         for (size_t j = begin; j < end; ++j)
-                           plans[j] = frozen->PlanInsert(start + j, &scratch);
-                       });
-      for (size_t j = 0; j < batch; ++j)
-        CommitInsert(start + j, std::move(plans[j]));
-      start += batch;
-    }
-  }
-};
-
-}  // namespace
-
-void HnswIndex::BuildLegacy() {
-  LegacyBuilder builder{dim_, M_, ef_construction_, vectors_, levels_, {}};
-  builder.Run();
-  max_level_ = builder.max_level;
-  entry_ = builder.entry;
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    for (int32_t lev = 0; lev <= levels_[i]; ++lev) {
-      const auto& level_links = builder.links[i][static_cast<size_t>(lev)];
-      int32_t* row = LinkRow(i, lev);
-      row[0] = static_cast<int32_t>(level_links.size());
-      std::copy(level_links.begin(), level_links.end(), row + 1);
-    }
-  }
-}
-
 Result<std::unique_ptr<HnswIndex>> HnswIndex::Build(
     std::vector<int32_t> ids, std::vector<double> vectors, size_t dim,
     const HnswOptions& options) {
@@ -735,11 +514,6 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::Build(
     index->levels_[i] = LevelForNode(options.seed, i, mult);
   index->AllocateArena();
   if (n == 0) return index;
-
-  if (options.legacy_build) {
-    index->BuildLegacy();
-    return index;
-  }
 
   index->entry_ = 0;
   index->max_level_ = index->levels_[0];

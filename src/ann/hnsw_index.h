@@ -28,15 +28,6 @@ struct HnswOptions {
   /// Seed for the per-node level assignment. Two builds over the same
   /// vectors with the same options and seed are byte-identical.
   uint64_t seed = 0x5EEDF00DULL;
-  /// A/B baseline: build with the pre-arena implementation — nested-vector
-  /// links, per-insertion heap allocations, scalar one-at-a-time distances
-  /// — then pack the result into the arena. Produces the same graph as the
-  /// default path, byte for byte (the golden-snapshot test pins both
-  /// against a pre-refactor Serialize()); it exists so the bench can
-  /// measure the data-structure + kernel redesign on the same host
-  /// (ann.build.speedup_vs_baseline). Not serialized: a deserialized index
-  /// carries no record of which path built it.
-  bool legacy_build = false;
 };
 
 /// Hierarchical navigable small world graph over frozen item vectors,
@@ -191,8 +182,6 @@ class HnswIndex : public Index {
   /// byte — then the entry/max-level update in ascending node order.
   void CommitBatch(size_t start, size_t count, std::vector<InsertPlan>* plans,
                    SearchScratch* scratch);
-  /// The pre-arena reference build (HnswOptions::legacy_build).
-  void BuildLegacy();
 
   size_t dim_ = 0;
   int M_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "la/check_finite.h"
 #include "la/ops.h"
@@ -11,19 +10,6 @@
 namespace subrec::autodiff {
 
 using la::Matrix;
-
-namespace {
-bool g_tape_legacy_mode = false;
-}  // namespace
-
-void SetTapeLegacyMode(bool on) {
-  g_tape_legacy_mode = on;
-  // The pre-rewrite baseline also means the pre-rewrite matmul path:
-  // AVX2 kernel ceiling and fresh transposed copies (la layer can't see
-  // this flag, so mirror it down).
-  la::SetLegacyKernelMode(on);
-}
-bool TapeLegacyMode() { return g_tape_legacy_mode; }
 
 Tape::~Tape() { FlushStats(); }
 
@@ -122,14 +108,6 @@ const Matrix& Tape::grad(VarId id) const {
 }
 
 void Tape::Reset() {
-  if (TapeLegacyMode()) {
-    // The closure tape's Reset() destroyed every node (and with it every
-    // value/grad slab); reproduce that so legacy benchmark runs pay the
-    // same reallocation cost on the next pass.
-    nodes_.clear();
-    operands_.clear();
-    scratch_ = Matrix();
-  }
   live_nodes_ = 0;
   live_operands_ = 0;
   FlushStats();
@@ -537,220 +515,12 @@ void Tape::BackwardNode(size_t i) {
   }
 }
 
-void Tape::LegacyAccumulate(VarId id, const Matrix& g) {
-  Node& n = node(id);
-  if (!n.requires_grad) return;
-  SUBREC_CHECK(n.grad.SameShape(g));
-  SUBREC_CHECK_FINITE(g, "autodiff backward gradient");
-  la::Axpy(1.0, g, n.grad);
-}
-
-void Tape::LegacyBackwardNode(size_t i) {
-  Node& n = nodes_[i];
-  const Matrix& g = n.grad;
-  switch (n.op) {
-    case Op::kLeaf:
-      return;
-    case Op::kAdd:
-      LegacyAccumulate(n.a, g);
-      LegacyAccumulate(n.b, g);
-      return;
-    case Op::kSub:
-      LegacyAccumulate(n.a, g);
-      LegacyAccumulate(n.b, la::Scale(g, -1.0));
-      return;
-    case Op::kMul:
-      LegacyAccumulate(n.a, la::Hadamard(g, value(n.b)));
-      LegacyAccumulate(n.b, la::Hadamard(g, value(n.a)));
-      return;
-    case Op::kScale:
-      LegacyAccumulate(n.a, la::Scale(g, n.alpha));
-      return;
-    case Op::kMatMul:
-      LegacyAccumulate(n.a, la::MatMulTransB(g, value(n.b)));
-      LegacyAccumulate(n.b, la::MatMulTransA(value(n.a), g));
-      return;
-    case Op::kMatMulTransB:
-      LegacyAccumulate(n.a, la::MatMul(g, value(n.b)));
-      LegacyAccumulate(n.b, la::MatMulTransA(g, value(n.a)));
-      return;
-    case Op::kAddRowBroadcast: {
-      LegacyAccumulate(n.a, g);
-      Matrix gb(1, g.cols());
-      for (size_t r = 0; r < g.rows(); ++r)
-        for (size_t j = 0; j < g.cols(); ++j) gb(0, j) += g(r, j);
-      LegacyAccumulate(n.b, gb);
-      return;
-    }
-    case Op::kTanh: {
-      const Matrix& y = n.value;
-      Matrix da = g;
-      for (size_t k = 0; k < da.size(); ++k) da[k] *= (1.0 - y[k] * y[k]);
-      LegacyAccumulate(n.a, da);
-      return;
-    }
-    case Op::kSigmoid: {
-      const Matrix& y = n.value;
-      Matrix da = g;
-      for (size_t k = 0; k < da.size(); ++k) da[k] *= y[k] * (1.0 - y[k]);
-      LegacyAccumulate(n.a, da);
-      return;
-    }
-    case Op::kRelu: {
-      const Matrix& x = value(n.a);
-      Matrix da = g;
-      for (size_t k = 0; k < da.size(); ++k)
-        da[k] = x[k] > 0.0 ? da[k] : 0.0;
-      LegacyAccumulate(n.a, da);
-      return;
-    }
-    case Op::kRowSoftmax: {
-      const Matrix& y = n.value;
-      Matrix da(g.rows(), g.cols());
-      for (size_t r = 0; r < g.rows(); ++r) {
-        double dot = 0.0;
-        for (size_t j = 0; j < g.cols(); ++j) dot += g(r, j) * y(r, j);
-        for (size_t j = 0; j < g.cols(); ++j)
-          da(r, j) = y(r, j) * (g(r, j) - dot);
-      }
-      LegacyAccumulate(n.a, da);
-      return;
-    }
-    case Op::kTranspose:
-      LegacyAccumulate(n.a, la::Transpose(g));
-      return;
-    case Op::kRowMean: {
-      const Matrix& x = value(n.a);
-      const double inv = 1.0 / static_cast<double>(x.rows());
-      Matrix da(x.rows(), x.cols());
-      for (size_t r = 0; r < x.rows(); ++r)
-        for (size_t j = 0; j < x.cols(); ++j) da(r, j) = g(0, j) * inv;
-      LegacyAccumulate(n.a, da);
-      return;
-    }
-    case Op::kConcatRows: {
-      size_t r = 0;
-      for (uint32_t s = 0; s < n.extra_count; ++s) {
-        const VarId p = operands_[n.extra_begin + s];
-        const Matrix& pv = value(p);
-        Matrix gp(pv.rows(), pv.cols());
-        for (size_t q = 0; q < pv.rows(); ++q, ++r)
-          for (size_t j = 0; j < pv.cols(); ++j) gp(q, j) = g(r, j);
-        LegacyAccumulate(p, gp);
-      }
-      return;
-    }
-    case Op::kConcatCols: {
-      size_t c = 0;
-      for (uint32_t s = 0; s < n.extra_count; ++s) {
-        const VarId p = operands_[n.extra_begin + s];
-        const Matrix& pv = value(p);
-        Matrix gp(pv.rows(), pv.cols());
-        for (size_t j = 0; j < pv.cols(); ++j, ++c)
-          for (size_t q = 0; q < pv.rows(); ++q) gp(q, j) = g(q, c);
-        LegacyAccumulate(p, gp);
-      }
-      return;
-    }
-    case Op::kSum: {
-      const Matrix& x = value(n.a);
-      LegacyAccumulate(n.a, Matrix(x.rows(), x.cols(), g(0, 0)));
-      return;
-    }
-    case Op::kSumSquares:
-      LegacyAccumulate(n.a, la::Scale(value(n.a), 2.0 * g(0, 0)));
-      return;
-    case Op::kSigmoidBce: {
-      const double gs = g(0, 0);
-      const Matrix& x = value(n.a);
-      const Matrix& y = value(n.b);
-      const double inv = gs / static_cast<double>(x.size());
-      Matrix dx(x.rows(), x.cols());
-      for (size_t k = 0; k < x.size(); ++k) {
-        const double sig = 1.0 / (1.0 + std::exp(-x[k]));
-        dx[k] = (sig - y[k]) * inv;
-      }
-      LegacyAccumulate(n.a, dx);
-      return;
-    }
-  }
-}
-
 void Tape::Backward(VarId root) {
   SUBREC_CHECK_LT(root, live_nodes_);
   const la::Matrix& rv = value(root);
   SUBREC_CHECK(rv.rows() == 1 && rv.cols() == 1)
       << "Backward root must be a 1x1 loss";
   SUBREC_CHECK_FINITE(rv(0, 0), "autodiff backward root loss");
-  if (TapeLegacyMode()) {
-    // Closure-era sweep for the train_step benchmark baseline: fresh grad
-    // matrices, one heap-allocated type-erased thunk per op node (the
-    // capture exceeds std::function's small-buffer size, exactly like the
-    // old [a, b, out] captures), and indirect dispatch through it. The
-    // arithmetic inside LegacyBackwardNode is the same sequence
-    // BackwardNode runs, so results stay bit-identical.
-    for (size_t i = 0; i < live_nodes_; ++i) {
-      Node& n = nodes_[i];
-      const Matrix& v = n.ext != nullptr ? *n.ext : n.value;
-      n.grad = n.requires_grad ? Matrix(v.rows(), v.cols()) : Matrix();
-    }
-    if (!nodes_[root].requires_grad) return;
-    nodes_[root].grad(0, 0) = 1.0;
-    std::vector<std::function<void(Tape*)>> thunks(live_nodes_);
-    for (size_t i = 0; i < live_nodes_; ++i) {
-      const Node& n = nodes_[i];
-      switch (n.op) {
-        case Op::kLeaf:
-          break;
-        case Op::kTanh:
-        case Op::kSigmoid:
-        case Op::kRelu:
-        case Op::kRowSoftmax:
-        case Op::kTranspose:
-        case Op::kRowMean:
-        case Op::kSum:
-        case Op::kSumSquares: {
-          // Old unary closures captured [a, out] — 16 bytes, inside
-          // std::function's small buffer, so no heap allocation here.
-          const VarId a = n.a;
-          thunks[i] = [i, a](Tape* t) {
-            (void)a;
-            t->LegacyBackwardNode(i);
-          };
-          break;
-        }
-        case Op::kConcatRows:
-        case Op::kConcatCols: {
-          // Old concat closures captured the parts vector by value: one
-          // heap block for the closure plus one for the vector copy.
-          std::vector<VarId> parts(
-              operands_.begin() + n.extra_begin,
-              operands_.begin() + n.extra_begin + n.extra_count);
-          thunks[i] = [i, parts](Tape* t) {
-            (void)parts;
-            t->LegacyBackwardNode(i);
-          };
-          break;
-        }
-        default: {
-          // Binary/scale closures captured [a, b, out] — 24 bytes, past
-          // the small buffer, so one heap allocation per node.
-          const VarId a = n.a;
-          const VarId b = n.b;
-          thunks[i] = [i, a, b](Tape* t) {
-            (void)a;
-            (void)b;
-            t->LegacyBackwardNode(i);
-          };
-          break;
-        }
-      }
-    }
-    for (size_t i = root + 1; i-- > 0;) {
-      if (thunks[i] && nodes_[i].requires_grad) thunks[i](this);
-    }
-    return;
-  }
   // (Re)initialize grads in place — slabs persist across Backward calls.
   for (size_t i = 0; i < live_nodes_; ++i) {
     Node& n = nodes_[i];

@@ -13,20 +13,6 @@ namespace subrec::autodiff {
 /// only until Tape::Reset().
 using VarId = size_t;
 
-/// Process-wide A/B switch used by bench/train_step to measure the
-/// allocation-reuse work against the pre-rewrite behavior: when legacy mode
-/// is on, TapePool stops recycling tapes (every Acquire builds a fresh
-/// one), nn::TapeBinding copies parameter values onto the tape instead of
-/// referencing them, NPRec rebuilds its constant leaves per pair instead of
-/// reading the per-paper caches, Reset() releases every slab, and
-/// Backward() runs through the closure-era path (one heap-allocated
-/// type-erased thunk per op node, one materialized temporary per
-/// accumulation). Values are unaffected either way — both paths execute the
-/// same floating-point sequence — only where the bytes live. Not
-/// thread-safe; flip it only between training runs.
-void SetTapeLegacyMode(bool on);
-bool TapeLegacyMode();
-
 /// Reverse-mode automatic differentiation over dense matrices.
 ///
 /// Usage: create leaf nodes with Input() (trainable) or Constant() (frozen),
@@ -42,8 +28,8 @@ bool TapeLegacyMode();
 /// la::Matrix slabs that are capacity-preservingly resized in place on
 /// reuse. Gradient accumulation is in-place (axpy-style); the few backward
 /// rules that need a real temporary (matmul, bias row-sum) share one
-/// pooled scratch matrix. The floating-point sequence is identical to the
-/// closure-based tape's, so results are bit-exact.
+/// pooled scratch matrix. The floating-point sequence is fixed: the SEM and
+/// NPRec goldens in tests/par_determinism_test.cc pin it bit for bit.
 ///
 /// All shapes are validated eagerly with SUBREC_CHECK — shape bugs are
 /// programmer errors, not recoverable conditions.
@@ -187,13 +173,6 @@ class Tape {
   void AccumulateHadamard(VarId id, const la::Matrix& g, const la::Matrix& v);
   /// Opcode-dispatched reverse rule for node i.
   void BackwardNode(size_t i);
-  /// grad(id) += g via a dense axpy if the node requires grad — the
-  /// closure-era accumulate, kept verbatim for the legacy benchmark path.
-  void LegacyAccumulate(VarId id, const la::Matrix& g);
-  /// Reverse rule for node i reproducing the closure tape's per-op
-  /// temporaries (same floating-point sequence as BackwardNode, but every
-  /// addend is materialized into a fresh matrix first).
-  void LegacyBackwardNode(size_t i);
   /// Bump-allocates `parts` into operands_ and stamps the span on `n`.
   void StoreOperands(Node* n, const std::vector<VarId>& parts);
   /// Adds the pending stat deltas to the global tape.* metrics.

@@ -5,7 +5,6 @@
 namespace subrec::autodiff {
 
 std::unique_ptr<Tape> TapePool::Acquire() {
-  if (TapeLegacyMode()) return std::make_unique<Tape>();
   {
     common::MutexLock lock(&mu_);
     if (!free_.empty()) {
@@ -19,7 +18,6 @@ std::unique_ptr<Tape> TapePool::Acquire() {
 
 void TapePool::Release(std::unique_ptr<Tape> tape) {
   if (tape == nullptr) return;
-  if (TapeLegacyMode()) return;  // destroy: legacy behavior has no reuse
   tape->Reset();
   common::MutexLock lock(&mu_);
   free_.push_back(std::move(tape));

@@ -32,10 +32,6 @@ namespace subrec::autodiff {
 /// the worker threads of one trainer. Determinism is unaffected: which
 /// physical tape an item lands on changes only where bytes live, never
 /// the floating-point schedule.
-///
-/// Under TapeLegacyMode() the pool deliberately stops recycling (fresh
-/// tape per Acquire, Release destroys) so bench/train_step can measure
-/// the pre-arena behavior in the same binary.
 class TapePool {
  public:
   TapePool() = default;

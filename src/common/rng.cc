@@ -7,13 +7,8 @@
 namespace subrec {
 namespace {
 
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+// Weyl-sequence increment of splitmix64 (2^64 / golden ratio).
+constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
@@ -21,9 +16,19 @@ constexpr double kTwoPi = 6.283185307179586476925286766559;
 
 }  // namespace
 
+uint64_t SplitMix64(uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 Rng::Rng(uint64_t seed) {
-  uint64_t x = seed;
-  for (auto& lane : s_) lane = SplitMix64(x);
+  // The classic splitmix64 stream: lane i mixes seed + (i + 1) * gamma.
+  for (auto& lane : s_) {
+    lane = SplitMix64(seed);
+    seed += kSplitMix64Gamma;
+  }
 }
 
 uint64_t Rng::NextUint64() {

@@ -7,6 +7,12 @@
 
 namespace subrec {
 
+/// Stateless splitmix64: advances `x` by the golden-ratio increment and
+/// mixes it into a well-spread 64-bit word. A pure function, so seeds and
+/// levels hashed from it (per-paper streams, HNSW node levels) depend on
+/// their inputs alone.
+uint64_t SplitMix64(uint64_t x);
+
 /// Deterministic, seedable PRNG (xoshiro256**). Every stochastic component
 /// in the library takes an Rng (or a seed) so experiments reproduce
 /// bit-for-bit across runs and platforms.

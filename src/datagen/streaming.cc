@@ -8,13 +8,6 @@
 namespace subrec::datagen {
 namespace {
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 /// Stream seed for paper `i`: a function of (corpus seed, id) only — this
 /// is the whole batch-size-independence argument.
 uint64_t PaperSeed(uint64_t corpus_seed, size_t i) {

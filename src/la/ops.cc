@@ -1,7 +1,6 @@
 #include "la/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -9,22 +8,6 @@
 #include "par/parallel.h"
 
 namespace subrec::la {
-namespace {
-
-// Relaxed atomic so the tsan build stays clean when worker threads read the
-// flag; it is only ever flipped between fits, never during one.
-std::atomic<bool> g_legacy_kernel_mode{false};
-
-}  // namespace
-
-void SetLegacyKernelMode(bool on) {
-  g_legacy_kernel_mode.store(on, std::memory_order_relaxed);
-}
-
-bool LegacyKernelMode() {
-  return g_legacy_kernel_mode.load(std::memory_order_relaxed);
-}
-
 namespace {
 
 // Size routing for the three matmul entry points, in units of m*n*k.
@@ -42,16 +25,14 @@ using GemmFn = void (*)(const double*, size_t, const double*, size_t, double*,
                         size_t, size_t, size_t, size_t, size_t);
 
 GemmFn ActiveGemm() {
-  // The legacy pin (the AVX2 ceiling the library shipped with) exists so
-  // bench/train_step can price the pre-rewrite compute path in one binary.
-  // All kernels produce identical bits; see gemm_kernel.h.
-  static const GemmFn legacy_fn = internal::GemmAvx2Available()
-                                      ? internal::GemmRowRangeAvx2
-                                      : internal::GemmRowRangeGeneric;
-  static const GemmFn best_fn = internal::GemmAvx512Available()
-                                    ? internal::GemmRowRangeAvx512
-                                    : legacy_fn;
-  return LegacyKernelMode() ? legacy_fn : best_fn;
+  // Widest kernel the host supports. All kernels produce identical bits;
+  // see gemm_kernel.h.
+  static const GemmFn fn = internal::GemmAvx512Available()
+                               ? internal::GemmRowRangeAvx512
+                           : internal::GemmAvx2Available()
+                               ? internal::GemmRowRangeAvx2
+                               : internal::GemmRowRangeGeneric;
+  return fn;
 }
 
 // Blocked path body shared by MatMul and the transposed wrappers. `c` must
@@ -125,12 +106,6 @@ void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* out) {
   SUBREC_CHECK_EQ(a.rows(), b.rows()) << "MatMulTransA shape mismatch";
   if (a.rows() * a.cols() * b.cols() >= kGemmBlockedMinWork) {
     // One cheap O(k*m) transpose buys the blocked kernel's row layout.
-    if (LegacyKernelMode()) {
-      // Pre-rewrite behavior: a fresh transposed copy per call.
-      const Matrix at = Transpose(a);
-      MatMulInto(at, b, out);
-      return;
-    }
     Matrix& at = TransposeScratch();
     TransposeInto(a, &at);
     MatMulInto(at, b, out);
@@ -160,11 +135,6 @@ void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out) {
   if (a.rows() * a.cols() * b.rows() >= kGemmBlockedMinWork) {
     // The dot-product form below defeats vectorization (FP reductions
     // can't be reassociated); transposing B recovers the streaming kernel.
-    if (LegacyKernelMode()) {
-      const Matrix bt = Transpose(b);
-      MatMulInto(a, bt, out);
-      return;
-    }
     Matrix& bt = TransposeScratch();
     TransposeInto(b, &bt);
     MatMulInto(a, bt, out);
@@ -190,13 +160,6 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
 }
 
 void TransposeInto(const Matrix& a, Matrix* out) {
-  if (LegacyKernelMode()) {
-    // Pre-rewrite form: zero-filled destination, straight double loop.
-    out->ResizeZero(a.cols(), a.rows());
-    for (size_t i = 0; i < a.rows(); ++i)
-      for (size_t j = 0; j < a.cols(); ++j) (*out)(j, i) = a(i, j);
-    return;
-  }
   // Every entry is written below, so skip ResizeZero's memset. Blocking
   // keeps the column-strided writes inside a cache-resident tile; element
   // order is irrelevant for pure moves, so results are unchanged.

@@ -8,16 +8,6 @@
 
 namespace subrec::la {
 
-/// Benchmark A/B switch: when on, the matmul entry points run the kernel
-/// selection and scratch strategy the library shipped before the
-/// zero-allocation tape rewrite (AVX2 kernel ceiling, fresh transposed
-/// copies instead of per-thread scratch). Results are bit-identical either
-/// way; only memory traffic and ISA width differ. Flipped between runs by
-/// autodiff::SetTapeLegacyMode — not meant to be toggled while matmuls are
-/// in flight on other threads.
-void SetLegacyKernelMode(bool on);
-bool LegacyKernelMode();
-
 /// C = A * B. Shapes must agree (A: m x k, B: k x n).
 Matrix MatMul(const Matrix& a, const Matrix& b);
 

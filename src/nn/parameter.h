@@ -90,12 +90,7 @@ class TapeBinding {
     for (const auto& [param, id] : bound_) {
       if (param == p) return id;
     }
-    // Legacy mode re-uploads a copy per pass so bench/train_step can price
-    // the pre-arena behavior; values are identical either way.
-    autodiff::VarId id =
-        autodiff::TapeLegacyMode()
-            ? tape_->Input(p->value, /*requires_grad=*/true)
-            : tape_->InputRef(&p->value, /*requires_grad=*/true);
+    autodiff::VarId id = tape_->InputRef(&p->value, /*requires_grad=*/true);
     bound_.emplace_back(p, id);
     return id;
   }

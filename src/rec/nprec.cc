@@ -223,35 +223,22 @@ autodiff::VarId NPRec::PaperVecOnTape(
     const size_t pi = static_cast<size_t>(p);
     VarId lam = tape->RowSoftmax(binding->Use(text_attn_));
     // The stacked subspace rows are Fit-invariant: reference the per-paper
-    // cache instead of re-uploading a Constant copy for every pair. The
-    // fallback path keeps legacy mode (and any call before the caches are
-    // built) on the original allocate-per-pair behavior.
-    VarId c;
-    if (pi < text_stack_.size() && !autodiff::TapeLegacyMode()) {
-      c = tape->ConstantRef(&text_stack_[pi]);
-    } else {
-      const auto& subs = (*subspace_)[pi];
-      std::vector<std::vector<double>> rows(subs.begin(), subs.end());
-      c = tape->Constant(la::StackRows(rows));
-    }
+    // cache BuildConstantCaches filled for every paper in subspace_.
+    SUBREC_DCHECK_LT(pi, text_stack_.size());
+    VarId c = tape->ConstantRef(&text_stack_[pi]);
     VarId fused = tape->MatMul(lam, c);  // c_p = sum_k lambda_k c_p^k
     const nn::Dense& proj =
         influence_side ? *text_proj_influence_ : *text_proj_interest_;
     parts.push_back(proj.Forward(tape, binding, fused));
     if (options_.use_raw_text_channel) {
       // The normalized FusedText row depends on the trained attention
-      // weights, so it is only cacheable within one batch (see
-      // PrepareRawUnitCache); the stamp gate keeps stale entries unused.
-      VarId raw;
-      if (pi < raw_unit_stamp_.size() &&
-          raw_unit_stamp_[pi] == raw_unit_epoch_ && raw_unit_epoch_ != 0 &&
-          !autodiff::TapeLegacyMode()) {
-        raw = tape->ConstantRef(&raw_unit_[pi]);
-      } else {
-        std::vector<double> unit = FusedText(p).RowToVector(0);
-        la::NormalizeL2(unit);
-        raw = tape->Constant(Matrix::RowVector(unit));
-      }
+      // weights, so it is only cacheable within one batch:
+      // PrepareRawUnitCache stamps both papers of every pair of the batch
+      // before any of them reaches the tape.
+      SUBREC_DCHECK_LT(pi, raw_unit_stamp_.size());
+      SUBREC_DCHECK(raw_unit_epoch_ != 0 &&
+                    raw_unit_stamp_[pi] == raw_unit_epoch_);
+      VarId raw = tape->ConstantRef(&raw_unit_[pi]);
       if (influence_side) {
         parts.push_back(raw);
       } else {
@@ -283,7 +270,6 @@ void NPRec::BuildConstantCaches() {
   raw_unit_stamp_.clear();
   raw_unit_epoch_ = 0;
   if (!options_.use_text || subspace_ == nullptr) return;
-  if (autodiff::TapeLegacyMode()) return;  // bench the uncached path honestly
   const size_t n = subspace_->size();
   text_stack_.resize(n);
   for (size_t p = 0; p < n; ++p) {

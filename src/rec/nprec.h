@@ -140,7 +140,7 @@ class NPRec final : public Recommender {
 
   /// Builds the Fit-invariant per-paper constant leaves (the StackRows of
   /// subspace vectors) so PaperVecOnTape can reference them instead of
-  /// re-uploading a fresh Constant per pair. No-op in legacy tape mode.
+  /// re-uploading a fresh Constant per pair.
   void BuildConstantCaches();
 
   /// Refreshes the L2-normalized FusedText rows for the papers of pairs

@@ -68,16 +68,6 @@ bool Better(const ScoredPaper& a, const ScoredPaper& b) {
 
 }  // namespace
 
-const char* ScorerModeName(ScorerMode mode) {
-  switch (mode) {
-    case ScorerMode::kPairwise:
-      return "pairwise";
-    case ScorerMode::kGemm:
-      return "gemm";
-  }
-  return "unknown";
-}
-
 FrozenScorer::FrozenScorer(const SnapshotData& data)
     : interest_(data.interest),
       influence_(data.influence),

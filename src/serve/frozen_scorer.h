@@ -17,18 +17,16 @@ struct ScoredPaper {
   double score = 0.0;
 };
 
-/// Which scoring engine serves a request. Both produce bit-identical
+/// Which scoring engine ranks a request. Both produce bit-identical
 /// scores (asserted by tests on every preset); they differ only in cost:
-/// kPairwise walks (profile x candidate) pairs one la::Dot at a time,
-/// kGemm batches each request into blocked GEMM tiles with a fused
-/// sigmoid-mean epilogue.
+/// kGemm, what RecommendService serves with, batches each request into
+/// blocked GEMM tiles with a fused sigmoid-mean epilogue; kPairwise walks
+/// (profile x candidate) pairs one la::Dot at a time and is the per-pair
+/// reference ranking the tests compare against.
 enum class ScorerMode : int {
   kPairwise = 0,
   kGemm,
 };
-
-/// Stable static-storage name ("pairwise", "gemm") for report rows.
-const char* ScorerModeName(ScorerMode mode);
 
 /// Wall-time attribution of one batched scoring pass, accumulated across
 /// its tiles: candidate-row gather, GEMM, sigmoid-mean epilogue.

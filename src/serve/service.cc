@@ -276,7 +276,7 @@ RecResponse RecommendService::TopNOnState(
       t->candidate_count = static_cast<int32_t>(candidates->size());
       t->candidate_source = CandidateSourceName(source);
     }
-    state->scorer.TopNInto(profile, *candidates, n, options_.scorer_mode, t,
+    state->scorer.TopNInto(profile, *candidates, n, ScorerMode::kGemm, t,
                            prescored, &response.items);
   }
   if (cache_) {
@@ -308,8 +308,7 @@ std::vector<RecResponse> RecommendService::RunChunk(
   // SUBREC_NESTED_VECTOR_OK(per-request score buffers, ragged by request)
   std::vector<std::vector<double>> scores(requests.size());
   std::vector<const std::vector<double>*> prescored(requests.size(), nullptr);
-  if (options_.scorer_mode == ScorerMode::kGemm && state != nullptr &&
-      requests.size() >= 2) {
+  if (state != nullptr && requests.size() >= 2) {
     // Coalescing pre-pass: group the chunk's valid requests by candidate
     // list (CandidatesFor returns a reference into the immutable state, so
     // the address is the identity) and score each group of two or more in

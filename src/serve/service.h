@@ -15,11 +15,11 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "obs/serve_observer.h"
+#include "par/thread_pool.h"
 #include "serve/candidate_index.h"
 #include "serve/frozen_scorer.h"
 #include "serve/lru_cache.h"
 #include "serve/snapshot.h"
-#include "serve/thread_pool.h"
 
 namespace subrec::serve {
 
@@ -52,12 +52,10 @@ struct ServeOptions {
   /// Total entries across all cache shards; 0 disables the result cache.
   size_t cache_capacity = 4096;
   size_t cache_shards = 16;
-  /// Requests grouped into one pool task by SubmitBatch/TopNBatch.
+  /// Requests grouped into one pool task by SubmitBatch/TopNBatch. A chunk
+  /// coalesces its requests that share a candidate list into one stacked
+  /// GEMM.
   size_t batch_size = 8;
-  /// Which scoring engine serves cache-missing requests. Both are
-  /// bit-identical; kGemm additionally lets a batch chunk coalesce
-  /// requests that share a candidate list into one stacked GEMM.
-  ScorerMode scorer_mode = ScorerMode::kGemm;
   CandidateIndexOptions index;
   /// Serving-path observability (rolling windows, flight recorder, stage
   /// traces). Disabled by default: the only per-request cost is then one
@@ -145,8 +143,8 @@ class RecommendService {
 
   /// Executes one SubmitBatch chunk: a coalescing pre-pass stacks the
   /// chunk's cache-key-distinct requests that share a candidate list into
-  /// one ScoreStackedInto GEMM (gemm mode only), then every request runs
-  /// the normal path with its prescored slice.
+  /// one ScoreStackedInto GEMM, then every request runs the normal path
+  /// with its prescored slice.
   std::vector<RecResponse> RunChunk(const std::vector<RecRequest>& requests,
                                     int64_t submit_ns);
 
@@ -168,7 +166,7 @@ class RecommendService {
       SUBREC_UNGUARDED("constructed once; internally synchronized");
   // Declared last: the pool's destructor drains queued tasks that call
   // TopN, which must still see a live cache_ and state_.
-  ThreadPool pool_ SUBREC_UNGUARDED("internally synchronized");
+  par::ThreadPool pool_ SUBREC_UNGUARDED("internally synchronized");
 };
 
 }  // namespace subrec::serve

@@ -353,10 +353,9 @@ WireCensus ScanWire(const std::string& bytes) {
 
 TEST(HnswIndex, SerializeMatchesPreRefactorGolden) {
   // The checked-in fixture is the Serialize() output of the pre-arena
-  // implementation over this exact corpus and options. Both build paths —
-  // the arena/SIMD default and the legacy_build A/B baseline — must still
-  // reproduce it byte for byte: the refactor changed the data structures
-  // and kernels, never the graph or the wire format.
+  // implementation over this exact corpus and options. The arena/SIMD
+  // build must still reproduce it byte for byte: the refactor changed the
+  // data structures and kernels, never the graph or the wire format.
   const TestVectors tv = MakeClustered(240, 8, 4, 97);
   HnswOptions options;
   options.M = 8;
@@ -365,10 +364,6 @@ TEST(HnswIndex, SerializeMatchesPreRefactorGolden) {
   const std::string golden = ReadGoldenOrDie("hnsw_v1_prerefactor.bin");
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(BuildOrDie(tv, options)->Serialize(), golden);
-
-  HnswOptions legacy = options;
-  legacy.legacy_build = true;
-  EXPECT_EQ(BuildOrDie(tv, legacy)->Serialize(), golden);
 
   // And the pre-refactor bytes still load and re-serialize unchanged.
   auto restored = HnswIndex::Deserialize(golden);

@@ -347,13 +347,5 @@ TEST(TapePool, RecyclesReleasedTapes) {
   EXPECT_EQ(pool.idle(), 1u);
 }
 
-TEST(TapePool, LegacyModeDisablesReuse) {
-  SetTapeLegacyMode(true);
-  TapePool pool;
-  pool.Release(pool.Acquire());
-  EXPECT_EQ(pool.idle(), 0u);
-  SetTapeLegacyMode(false);
-}
-
 }  // namespace
 }  // namespace subrec::autodiff

@@ -945,7 +945,6 @@ TEST(ServiceObservability, GemmTracesCarryScoreStageBreakdown) {
   serve::ServeOptions so;
   so.num_threads = 1;
   so.cache_capacity = 0;
-  so.scorer_mode = serve::ScorerMode::kGemm;
   so.observer.enabled = true;
   so.observer.sample_every_n = 1;
   so.observer.recorder.recent_capacity = 4;

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "cluster/tsne.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "datagen/corpus_generator.h"
 #include "datagen/datasets.h"
 #include "datagen/split.h"
@@ -53,6 +57,51 @@ void ExpectBitEqual(const std::vector<double>& a, const std::vector<double>& b,
   ASSERT_EQ(a.size(), b.size()) << what;
   for (size_t i = 0; i < a.size(); ++i)
     ASSERT_EQ(a[i], b[i]) << what << " at index " << i;
+}
+
+// --- Golden values -----------------------------------------------------
+//
+// The model and graph suites below also compare against values recorded
+// on an x86-64 host (AVX-512, GCC 12) when the closure-era tape, the
+// pre-arena HNSW build and the arena paths still ran side by side and
+// agreed bit for bit. They pin the arithmetic those deleted paths used to
+// cross-check. A platform that yields other bits fails here, by design:
+// there is no tolerance. Re-record them only with a deliberate change to
+// the training schedule, and list the old and new values in CHANGES.md.
+
+/// FNV-1a over the raw bytes of `values`: the digest the goldens record.
+uint64_t DigestDoubles(const std::vector<double>& values) {
+  return Fnv1aHash(
+      std::string_view(reinterpret_cast<const char*>(values.data()),
+                       values.size() * sizeof(double)));
+}
+
+std::string HexDouble(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::string HexWord(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+void ExpectGolden(const std::vector<double>& got,
+                  const std::vector<double>& golden, const std::string& what) {
+  ASSERT_EQ(got.size(), golden.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], golden[i]) << what << "[" << i << "] is "
+                                 << HexDouble(got[i]) << ", golden "
+                                 << HexDouble(golden[i]);
+  }
+}
+
+void ExpectGolden(uint64_t got, uint64_t golden, const std::string& what) {
+  EXPECT_EQ(got, golden) << what << " is " << HexWord(got) << ", golden "
+                         << HexWord(golden);
 }
 
 la::Matrix GaussianData(size_t n, size_t d, uint64_t seed) {
@@ -315,50 +364,74 @@ TEST_F(ParModelWorld, SemTrainerBitIdenticalAcrossThreadCounts) {
     ExpectBitEqual(outs[0].epoch_loss, outs[i].epoch_loss, "sem epoch loss");
     ASSERT_EQ(outs[0].order_accuracy, outs[i].order_accuracy);
   }
+  std::vector<double> params;
+  for (const la::Matrix& m : outs[0].params)
+    params.insert(params.end(), m.data(), m.data() + m.size());
+  ExpectGolden(outs[0].epoch_loss, {0x1.5385aa6a0d83dp-3, 0x1.ff39106d49dcp-4},
+               "sem epoch loss");
+  ExpectGolden(DigestDoubles(params), 0x11b88e6ede6876eaULL,
+               "sem parameter digest");
 }
 
 TEST_F(ParModelWorld, NPRecAndEvalBitIdenticalAcrossThreadCounts) {
-  rec::NPRecOptions options;
-  options.embed_dim = 12;
-  options.neighbor_samples = 4;
-  options.epochs = 1;
-  options.sampler.max_positives = 150;
-  options.sampler.negatives_per_positive = 3;
-
-  struct Out {
-    std::vector<double> vectors;
-    std::vector<double> epoch_loss;
-    double ndcg = 0.0, mrr = 0.0, map = 0.0;
+  // The raw text channel reads NPRec's per-batch normalized-text cache;
+  // the plain configuration reads only the per-Fit subspace cache.
+  struct Golden {
+    bool raw_text_channel;
+    double epoch_loss;
+    uint64_t vector_digest;
   };
-  std::vector<Out> outs;
-  for (size_t threads : kThreadCounts) {
-    par::ScopedNumThreads scoped(threads);
-    rec::NPRec model(options, subspace_);
-    ASSERT_TRUE(model.Fit(*ctx_).ok());
-    Out out;
-    for (size_t p = 0; p < ctx_->corpus->papers.size(); p += 7) {
-      const auto& vi =
-          model.PaperInterestVector(static_cast<corpus::PaperId>(p));
-      const auto& vf =
-          model.PaperInfluenceVector(static_cast<corpus::PaperId>(p));
-      out.vectors.insert(out.vectors.end(), vi.begin(), vi.end());
-      out.vectors.insert(out.vectors.end(), vf.begin(), vf.end());
+  for (const Golden& golden :
+       {Golden{false, 0x1.3297c079a57fep-1, 0x9371357b9eb6872cULL},
+        Golden{true, 0x1.22d9bfb52f8e2p-1, 0xee7148ddd581529bULL}}) {
+    SCOPED_TRACE(golden.raw_text_channel ? "raw text channel on"
+                                         : "raw text channel off");
+    rec::NPRecOptions options;
+    options.embed_dim = 12;
+    options.neighbor_samples = 4;
+    options.epochs = 1;
+    options.sampler.max_positives = 150;
+    options.sampler.negatives_per_positive = 3;
+    options.use_raw_text_channel = golden.raw_text_channel;
+
+    struct Out {
+      std::vector<double> vectors;
+      std::vector<double> epoch_loss;
+      double ndcg = 0.0, mrr = 0.0, map = 0.0;
+    };
+    std::vector<Out> outs;
+    for (size_t threads : kThreadCounts) {
+      par::ScopedNumThreads scoped(threads);
+      rec::NPRec model(options, subspace_);
+      ASSERT_TRUE(model.Fit(*ctx_).ok());
+      Out out;
+      for (size_t p = 0; p < ctx_->corpus->papers.size(); p += 7) {
+        const auto& vi =
+            model.PaperInterestVector(static_cast<corpus::PaperId>(p));
+        const auto& vf =
+            model.PaperInfluenceVector(static_cast<corpus::PaperId>(p));
+        out.vectors.insert(out.vectors.end(), vi.begin(), vi.end());
+        out.vectors.insert(out.vectors.end(), vf.begin(), vf.end());
+      }
+      out.epoch_loss = model.train_stats().epoch_loss;
+      const rec::RecEvalResult eval =
+          rec::EvaluateRecommender(*ctx_, model, *sets_, 20);
+      out.ndcg = eval.ndcg;
+      out.mrr = eval.mrr;
+      out.map = eval.map;
+      outs.push_back(std::move(out));
     }
-    out.epoch_loss = model.train_stats().epoch_loss;
-    const rec::RecEvalResult eval =
-        rec::EvaluateRecommender(*ctx_, model, *sets_, 20);
-    out.ndcg = eval.ndcg;
-    out.mrr = eval.mrr;
-    out.map = eval.map;
-    outs.push_back(std::move(out));
-  }
-  for (size_t i = 1; i < outs.size(); ++i) {
-    ExpectBitEqual(outs[0].vectors, outs[i].vectors, "nprec paper vectors");
-    ExpectBitEqual(outs[0].epoch_loss, outs[i].epoch_loss,
-                   "nprec epoch loss");
-    ASSERT_EQ(outs[0].ndcg, outs[i].ndcg) << "eval ndcg";
-    ASSERT_EQ(outs[0].mrr, outs[i].mrr) << "eval mrr";
-    ASSERT_EQ(outs[0].map, outs[i].map) << "eval map";
+    for (size_t i = 1; i < outs.size(); ++i) {
+      ExpectBitEqual(outs[0].vectors, outs[i].vectors, "nprec paper vectors");
+      ExpectBitEqual(outs[0].epoch_loss, outs[i].epoch_loss,
+                     "nprec epoch loss");
+      ASSERT_EQ(outs[0].ndcg, outs[i].ndcg) << "eval ndcg";
+      ASSERT_EQ(outs[0].mrr, outs[i].mrr) << "eval mrr";
+      ASSERT_EQ(outs[0].map, outs[i].map) << "eval map";
+    }
+    ExpectGolden(outs[0].epoch_loss, {golden.epoch_loss}, "nprec epoch loss");
+    ExpectGolden(DigestDoubles(outs[0].vectors), golden.vector_digest,
+                 "nprec vector digest");
   }
 }
 
@@ -434,14 +507,16 @@ TEST(ParDeterminism, HnswStreamingPresetBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(serialized[0], serialized[i])
         << "hnsw graph differs at " << kThreadCounts[i] << " threads";
 
-  // The legacy A/B baseline must build the identical graph on this corpus
-  // — otherwise ann.build.speedup_vs_baseline compares different work.
-  ann::HnswOptions legacy;
-  legacy.legacy_build = true;
-  auto baseline = ann::HnswIndex::Build(ids, vectors, dim, legacy);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  ASSERT_EQ(baseline.value()->Serialize(), serialized[0])
-      << "legacy_build diverges from the arena build";
+  // Golden graph bytes. The 240-point fixture in ann_test commits at most
+  // 112 nodes per batch; this preset's last batch commits 976, so the
+  // batched back-link replay is pinned at scale too. The digest also
+  // covers the streamed vectors and the per-node levels, both derived
+  // from SplitMix64.
+  if (!full) {
+    EXPECT_EQ(serialized[0].size(), 853612u);
+    ExpectGolden(Fnv1aHash(serialized[0]), 0x54ec69732ea19d30ULL,
+                 "hnsw smoke-preset graph digest");
+  }
 }
 
 }  // namespace

@@ -3,24 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "par/parallel.h"
 #include "par/thread_pool.h"
-#include "serve/thread_pool.h"
 
 namespace subrec::par {
 namespace {
-
-// The serve pool is a thin alias of the shared runtime's pool (PR kept the
-// explicit-shutdown destruction-order semantics of RecommendService).
-static_assert(std::is_same_v<serve::ThreadPool, par::ThreadPool>,
-              "serve::ThreadPool must alias par::ThreadPool");
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -208,13 +202,60 @@ TEST(Runtime, ConcurrentRegionsFromManyThreads) {
   EXPECT_EQ(grand_total.load(), expected);
 }
 
-TEST(ThreadPoolAlias, SubmitAndShutdownDrains) {
-  par::ThreadPool pool(2);
+// --- ThreadPool -----------------------------------------------------------
+
+TEST(ThreadPool, ExecutesEverySubmittedTask) {
+  std::atomic<int> count{0};
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 500; ++i)
+      pool.Submit([&count] { count.fetch_add(1); });
+    // Destructor drains the queue before joining.
+  }
+  EXPECT_EQ(count.load(), 500);
+}
+
+TEST(ThreadPool, ReturnsResultsThroughFutures) {
+  ThreadPool pool(3);
+  std::vector<std::future<int>> futures;
+  for (int i = 0; i < 50; ++i)
+    futures.push_back(pool.SubmitWithResult([i] { return i * i; }));
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
+}
+
+TEST(ThreadPool, ExceptionsLandInTheFuture) {
+  ThreadPool pool(2);
+  auto bad = pool.SubmitWithResult(
+      []() -> int { throw std::runtime_error("task failed"); });
+  auto good = pool.SubmitWithResult([] { return 7; });
+  EXPECT_THROW(bad.get(), std::runtime_error);
+  EXPECT_EQ(good.get(), 7);  // the worker survived the throwing task
+}
+
+TEST(ThreadPool, ShutdownIsIdempotentAndDrains) {
+  ThreadPool pool(2);
   EXPECT_EQ(pool.num_threads(), 2u);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) pool.Submit([&ran] { ran.fetch_add(1); });
+  std::atomic<int> count{0};
+  for (int i = 0; i < 100; ++i) pool.Submit([&count] { count.fetch_add(1); });
   pool.Shutdown();
-  EXPECT_EQ(ran.load(), 64);
+  pool.Shutdown();
+  EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(pool.QueueDepth(), 0u);
+}
+
+TEST(ThreadPool, ManyProducersOnePool) {
+  ThreadPool pool(4);
+  std::atomic<int> count{0};
+  std::vector<std::thread> producers;
+  for (int t = 0; t < 8; ++t) {
+    producers.emplace_back([&pool, &count] {
+      for (int i = 0; i < 200; ++i)
+        pool.Submit([&count] { count.fetch_add(1); });
+    });
+  }
+  for (auto& t : producers) t.join();
+  pool.Shutdown();
+  EXPECT_EQ(count.load(), 1600);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>  // getpid
 
 #include <algorithm>
 #include <atomic>
@@ -6,9 +7,7 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "graph/academic_graph.h"
 #include "obs/metrics.h"
 #include "par/parallel.h"
+#include "par/thread_pool.h"
 #include "rec/nprec.h"
 #include "rec/recommender.h"
 #include "serve/candidate_index.h"
@@ -28,7 +28,6 @@
 #include "serve/lru_cache.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
-#include "serve/thread_pool.h"
 #include "text/hashed_ngram_encoder.h"
 
 namespace subrec::serve {
@@ -146,61 +145,6 @@ TEST(FileUtil, MissingFileIsNotFound) {
   EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
 }
 
-// --- ThreadPool -----------------------------------------------------------
-
-TEST(ThreadPool, ExecutesEverySubmittedTask) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 500; ++i)
-      pool.Submit([&count] { count.fetch_add(1); });
-    // Destructor drains the queue before joining.
-  }
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ThreadPool, ReturnsResultsThroughFutures) {
-  ThreadPool pool(3);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 50; ++i)
-    futures.push_back(pool.SubmitWithResult([i] { return i * i; }));
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
-}
-
-TEST(ThreadPool, ExceptionsLandInTheFuture) {
-  ThreadPool pool(2);
-  auto bad = pool.SubmitWithResult(
-      []() -> int { throw std::runtime_error("task failed"); });
-  auto good = pool.SubmitWithResult([] { return 7; });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  EXPECT_EQ(good.get(), 7);  // the worker survived the throwing task
-}
-
-TEST(ThreadPool, ShutdownIsIdempotentAndDrains) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.Submit([&count] { count.fetch_add(1); });
-  pool.Shutdown();
-  pool.Shutdown();
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.QueueDepth(), 0u);
-}
-
-TEST(ThreadPool, ManyProducersOnePool) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::thread> producers;
-  for (int t = 0; t < 8; ++t) {
-    producers.emplace_back([&pool, &count] {
-      for (int i = 0; i < 200; ++i)
-        pool.Submit([&count] { count.fetch_add(1); });
-    });
-  }
-  for (auto& t : producers) t.join();
-  pool.Shutdown();
-  EXPECT_EQ(count.load(), 1600);
-}
-
 // --- ShardedLruCache ------------------------------------------------------
 
 TEST(LruCache, PutGetOverwrite) {
@@ -241,7 +185,7 @@ TEST(LruCache, ClearInvalidatesEverything) {
 /// under the tsan preset this is the serving-path race detector.
 TEST(LruCache, ConcurrentHammer) {
   ShardedLruCache<uint64_t, std::vector<int>> cache(256, 8);
-  ThreadPool pool(8);
+  par::ThreadPool pool(8);
   std::atomic<int> done{0};
   for (int t = 0; t < 16; ++t) {
     pool.Submit([&cache, &done, t] {
@@ -941,8 +885,11 @@ class ServiceTest : public ::testing::Test {
   static void SetUpTestSuite() {
     world_ = BuildWorld(
         datagen::ScopusLikeOptions(datagen::DatasetScale::kTiny, 99)).release();
+    // One file per process: ctest runs every ServiceTest case as its own
+    // process, and concurrent cases must not rewrite each other's file.
     snapshot_path_ = new std::string(::testing::TempDir() +
-                                     "/subrec_service_test.snap");
+                                     "/subrec_service_test." +
+                                     std::to_string(getpid()) + ".snap");
     SnapshotWriter writer(FreezeNPRec(world_->ctx, *world_->model, "scopus"));
     SUBREC_CHECK(writer.WriteFile(*snapshot_path_).ok());
   }
@@ -1009,28 +956,36 @@ TEST_F(ServiceTest, RejectsUnknownUsers) {
 }
 
 TEST_F(ServiceTest, PairwiseAndGemmModesServeIdenticalResults) {
-  // The scorer_mode option is a pure engine switch: every user's ranked
-  // list must be identical — papers AND score bits — across modes.
-  std::vector<std::vector<ScoredPaper>> per_mode;
-  for (const ScorerMode mode : {ScorerMode::kPairwise, ScorerMode::kGemm}) {
-    ServeOptions options;
-    options.cache_capacity = 0;
-    options.scorer_mode = mode;
-    RecommendService service(options);
-    ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
-    const size_t users = service.state()->profiles.size();
-    std::vector<ScoredPaper> flattened;
-    for (size_t u = 0; u < users; ++u) {
-      const RecResponse r = service.TopN(static_cast<int32_t>(u), 7);
+  // The service scores with the GEMM engine, solo or coalesced; the
+  // per-pair scorer is the reference ranking. With the cache off, every
+  // user's served list must equal the per-pair ranking over the same
+  // candidates — papers AND score bits.
+  ServeOptions options;
+  options.cache_capacity = 0;
+  RecommendService service(options);
+  ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
+  const std::shared_ptr<const ServingState> state = service.state();
+  const size_t users = state->profiles.size();
+  std::vector<RecRequest> requests;
+  for (size_t u = 0; u < users; ++u)
+    requests.push_back({static_cast<int32_t>(u), 7});
+  const std::vector<RecResponse> batched = service.TopNBatch(requests);
+  ASSERT_EQ(batched.size(), users);
+  for (size_t u = 0; u < users; ++u) {
+    const auto user = static_cast<int32_t>(u);
+    const std::vector<ScoredPaper> want =
+        state->scorer.TopN(state->profiles[u], state->index.CandidatesFor(user),
+                           7, nullptr, ScorerMode::kPairwise);
+    for (const RecResponse& r : {service.TopN(user, 7), batched[u]}) {
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-      flattened.insert(flattened.end(), r.items.begin(), r.items.end());
+      ASSERT_EQ(r.items.size(), want.size()) << "user " << u;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(r.items[i].paper, want[i].paper)
+            << "user " << u << " slot " << i;
+        EXPECT_EQ(r.items[i].score, want[i].score)
+            << "user " << u << " slot " << i;
+      }
     }
-    per_mode.push_back(std::move(flattened));
-  }
-  ASSERT_EQ(per_mode[0].size(), per_mode[1].size());
-  for (size_t i = 0; i < per_mode[0].size(); ++i) {
-    EXPECT_EQ(per_mode[0][i].paper, per_mode[1][i].paper) << "slot " << i;
-    EXPECT_EQ(per_mode[0][i].score, per_mode[1][i].score) << "slot " << i;
   }
 }
 
