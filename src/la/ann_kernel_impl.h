@@ -35,68 +35,16 @@
 #error "define SUBREC_ANN_NS before including la/ann_kernel_impl.h"
 #endif
 
-// __builtin_shufflevector: clang always; GCC since 12. Without it there is
-// no portable lane permute, so the whole vector path falls away.
-#if (defined(__clang__) || (defined(__GNUC__) && __GNUC__ >= 12)) && \
-    defined(__AVX__)
-#define SUBREC_ANN_VECTOR_OK 1
-#else
-#define SUBREC_ANN_VECTOR_OK 0
-#endif
+// Vec4 / Vec8 and their in-register Transpose, compiled into this TU's
+// namespace.
+#define SUBREC_TRANSPOSE_NS SUBREC_ANN_NS
+#include "la/transpose_kernel.h"  // NOLINT(build/include)
+#undef SUBREC_TRANSPOSE_NS
 
 namespace subrec::la::internal {
 namespace SUBREC_ANN_NS {
 
-#if SUBREC_ANN_VECTOR_OK
-
-typedef double Vec4 __attribute__((vector_size(32)));
-
-/// 4x4 transpose so t[c][l] = r[l][c]: two butterfly stages, 8 shuffles.
-/// A pure lane permutation — no arithmetic, so no rounding anywhere.
-inline void Transpose(const Vec4* r, Vec4* t) {
-  const Vec4 a0 = __builtin_shufflevector(r[0], r[1], 0, 4, 2, 6);
-  const Vec4 a1 = __builtin_shufflevector(r[0], r[1], 1, 5, 3, 7);
-  const Vec4 a2 = __builtin_shufflevector(r[2], r[3], 0, 4, 2, 6);
-  const Vec4 a3 = __builtin_shufflevector(r[2], r[3], 1, 5, 3, 7);
-  t[0] = __builtin_shufflevector(a0, a2, 0, 1, 4, 5);
-  t[1] = __builtin_shufflevector(a1, a3, 0, 1, 4, 5);
-  t[2] = __builtin_shufflevector(a0, a2, 2, 3, 6, 7);
-  t[3] = __builtin_shufflevector(a1, a3, 2, 3, 6, 7);
-}
-
-#if defined(__AVX512F__)
-
-typedef double Vec8 __attribute__((vector_size(64)));
-
-/// 8x8 transpose: three butterfly stages, 24 shuffles.
-inline void Transpose(const Vec8* r, Vec8* t) {
-  const Vec8 a0 = __builtin_shufflevector(r[0], r[1], 0, 8, 2, 10, 4, 12, 6, 14);
-  const Vec8 a1 = __builtin_shufflevector(r[0], r[1], 1, 9, 3, 11, 5, 13, 7, 15);
-  const Vec8 a2 = __builtin_shufflevector(r[2], r[3], 0, 8, 2, 10, 4, 12, 6, 14);
-  const Vec8 a3 = __builtin_shufflevector(r[2], r[3], 1, 9, 3, 11, 5, 13, 7, 15);
-  const Vec8 a4 = __builtin_shufflevector(r[4], r[5], 0, 8, 2, 10, 4, 12, 6, 14);
-  const Vec8 a5 = __builtin_shufflevector(r[4], r[5], 1, 9, 3, 11, 5, 13, 7, 15);
-  const Vec8 a6 = __builtin_shufflevector(r[6], r[7], 0, 8, 2, 10, 4, 12, 6, 14);
-  const Vec8 a7 = __builtin_shufflevector(r[6], r[7], 1, 9, 3, 11, 5, 13, 7, 15);
-  const Vec8 b0 = __builtin_shufflevector(a0, a2, 0, 1, 8, 9, 4, 5, 12, 13);
-  const Vec8 b1 = __builtin_shufflevector(a1, a3, 0, 1, 8, 9, 4, 5, 12, 13);
-  const Vec8 b2 = __builtin_shufflevector(a0, a2, 2, 3, 10, 11, 6, 7, 14, 15);
-  const Vec8 b3 = __builtin_shufflevector(a1, a3, 2, 3, 10, 11, 6, 7, 14, 15);
-  const Vec8 b4 = __builtin_shufflevector(a4, a6, 0, 1, 8, 9, 4, 5, 12, 13);
-  const Vec8 b5 = __builtin_shufflevector(a5, a7, 0, 1, 8, 9, 4, 5, 12, 13);
-  const Vec8 b6 = __builtin_shufflevector(a4, a6, 2, 3, 10, 11, 6, 7, 14, 15);
-  const Vec8 b7 = __builtin_shufflevector(a5, a7, 2, 3, 10, 11, 6, 7, 14, 15);
-  t[0] = __builtin_shufflevector(b0, b4, 0, 1, 2, 3, 8, 9, 10, 11);
-  t[1] = __builtin_shufflevector(b1, b5, 0, 1, 2, 3, 8, 9, 10, 11);
-  t[2] = __builtin_shufflevector(b2, b6, 0, 1, 2, 3, 8, 9, 10, 11);
-  t[3] = __builtin_shufflevector(b3, b7, 0, 1, 2, 3, 8, 9, 10, 11);
-  t[4] = __builtin_shufflevector(b0, b4, 4, 5, 6, 7, 12, 13, 14, 15);
-  t[5] = __builtin_shufflevector(b1, b5, 4, 5, 6, 7, 12, 13, 14, 15);
-  t[6] = __builtin_shufflevector(b2, b6, 4, 5, 6, 7, 12, 13, 14, 15);
-  t[7] = __builtin_shufflevector(b3, b7, 4, 5, 6, 7, 12, 13, 14, 15);
-}
-
-#endif  // __AVX512F__
+#if SUBREC_TRANSPOSE_VECTOR_OK
 
 /// L candidates' inner products, one per lane, d ascending in blocks of L
 /// with a scalar continuation for the dim % L tail.
@@ -126,7 +74,7 @@ inline void DotBlock(const double* query, size_t dim,
   }
 }
 
-#endif  // SUBREC_ANN_VECTOR_OK
+#endif  // SUBREC_TRANSPOSE_VECTOR_OK
 
 /// One candidate's inner product, the oracle sequence itself: ascending-d,
 /// separate multiply then add. Both the batch tail and the scalar TU use it.
@@ -139,7 +87,7 @@ inline double DotOne(const double* query, const double* row, size_t dim) {
 inline void DotBatch(const double* query, const double* slab, size_t dim,
                      const int32_t* nodes, size_t count, double* out) {
   size_t i = 0;
-#if SUBREC_ANN_VECTOR_OK
+#if SUBREC_TRANSPOSE_VECTOR_OK
 #if defined(__AVX512F__)
   for (; i + 8 <= count; i += 8) {
     const double* rows[8];
@@ -173,7 +121,5 @@ inline void DotBatch(const double* query, const double* slab, size_t dim,
 
 }  // namespace SUBREC_ANN_NS
 }  // namespace subrec::la::internal
-
-#undef SUBREC_ANN_VECTOR_OK
 
 #endif  // SUBREC_LA_ANN_KERNEL_IMPL_H_

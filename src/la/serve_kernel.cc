@@ -6,12 +6,17 @@
 #include "la/serve_kernel.h"
 
 #include <cstddef>
+#include <cstdint>
 
 #include "la/score_math.h"
 
 #define SUBREC_GEMM_NS serve_generic
 #include "la/gemm_kernel.h"  // NOLINT(build/include)
 #undef SUBREC_GEMM_NS
+
+#define SUBREC_TRANSPOSE_NS gather_generic
+#include "la/transpose_kernel.h"  // NOLINT(build/include)
+#undef SUBREC_TRANSPOSE_NS
 
 namespace subrec::la {
 namespace internal {
@@ -34,6 +39,12 @@ void ServeSigmoidMeanColumnsGeneric(const double* logits, size_t ld,
   for (size_t j = 0; j < n; ++j) out[j] /= denom;
 }
 
+void ServeGatherTransposeGeneric(const double* slab, size_t k,
+                                 const int32_t* ids, size_t count,
+                                 double* bt) {
+  gather_generic::GatherTranspose(slab, k, ids, count, bt);
+}
+
 }  // namespace internal
 
 namespace {
@@ -42,6 +53,8 @@ using GemmFn = void (*)(const double*, size_t, const double*, size_t,
                         double*, size_t, size_t, size_t, size_t, size_t);
 using EpilogueFn = void (*)(const double*, size_t, size_t, size_t, double,
                             double*);
+using GatherFn = void (*)(const double*, size_t, const int32_t*, size_t,
+                          double*);
 
 GemmFn PickGemm() {
   if (internal::ServeKernelAvx512Available())
@@ -57,6 +70,12 @@ EpilogueFn PickEpilogue() {
   if (internal::ServeKernelAvx2Available())
     return internal::ServeSigmoidMeanColumnsAvx2;
   return internal::ServeSigmoidMeanColumnsGeneric;
+}
+
+GatherFn PickGather() {
+  if (internal::ServeKernelAvx2Available())
+    return internal::ServeGatherTransposeAvx2;
+  return internal::ServeGatherTransposeGeneric;
 }
 
 }  // namespace
@@ -79,10 +98,8 @@ void ServeSigmoidMeanColumns(const double* logits, size_t ld, size_t m,
 
 void ServeGatherTranspose(const double* slab, size_t k, const int32_t* ids,
                           size_t count, double* bt) {
-  for (size_t i = 0; i < count; ++i) {
-    const double* row = slab + static_cast<size_t>(ids[i]) * k;
-    for (size_t d = 0; d < k; ++d) bt[d * count + i] = row[d];
-  }
+  static const GatherFn fn = PickGather();
+  fn(slab, k, ids, count, bt);
 }
 
 }  // namespace subrec::la

@@ -44,6 +44,16 @@ void ServeSigmoidMeanColumnsAvx2(const double* logits, size_t ld, size_t m,
 void ServeSigmoidMeanColumnsAvx512(const double* logits, size_t ld, size_t m,
                                    size_t n, double denom, double* out);
 
+/// Candidate gather (see ServeGatherTranspose below). The AVX2 TU copies
+/// blocks of 4 rows through an in-register transpose
+/// (la/transpose_kernel.h) and serves AVX-512 hosts too; the generic TU
+/// copies one double at a time.
+void ServeGatherTransposeGeneric(const double* slab, size_t k,
+                                 const int32_t* ids, size_t count,
+                                 double* bt);
+void ServeGatherTransposeAvx2(const double* slab, size_t k,
+                              const int32_t* ids, size_t count, double* bt);
+
 /// True when the AVX2 serve TU was compiled with -mavx2 AND the running
 /// CPU reports it (no FMA requirement: the serve kernels never fuse).
 bool ServeKernelAvx2Available();
@@ -68,8 +78,10 @@ void ServeSigmoidMeanColumns(const double* logits, size_t ld, size_t m,
                              size_t n, double denom, double* out);
 
 /// Gathers `count` rows of the row-major slab (row width k) into a
-/// transposed tile: bt[d * count + i] = slab[ids[i] * k + d]. Pure data
-/// movement — no rounding — so it needs no ISA dispatch for determinism.
+/// transposed tile: bt[d * count + i] = slab[ids[i] * k + d]. Dispatched
+/// for speed only (the AVX2 kernel on AVX2 and AVX-512 hosts, the generic
+/// one elsewhere): the gather is pure data movement, so every kernel
+/// writes identical bits. k == 0 reads and writes nothing.
 void ServeGatherTranspose(const double* slab, size_t k, const int32_t* ids,
                           size_t count, double* bt);
 

@@ -9,6 +9,7 @@
 #include "la/serve_kernel.h"
 
 #include <cstddef>
+#include <cstdint>
 
 #include "la/score_math.h"
 
@@ -17,6 +18,10 @@
 #define SUBREC_GEMM_NS serve_avx2
 #include "la/gemm_kernel.h"  // NOLINT(build/include)
 #undef SUBREC_GEMM_NS
+
+#define SUBREC_TRANSPOSE_NS gather_avx2
+#include "la/transpose_kernel.h"  // NOLINT(build/include)
+#undef SUBREC_TRANSPOSE_NS
 
 namespace subrec::la::internal {
 
@@ -40,6 +45,11 @@ void ServeSigmoidMeanColumnsAvx2(const double* logits, size_t ld, size_t m,
   for (size_t j = 0; j < n; ++j) out[j] /= denom;
 }
 
+void ServeGatherTransposeAvx2(const double* slab, size_t k,
+                              const int32_t* ids, size_t count, double* bt) {
+  gather_avx2::GatherTranspose(slab, k, ids, count, bt);
+}
+
 bool ServeKernelAvx2Available() { return __builtin_cpu_supports("avx2"); }
 
 }  // namespace subrec::la::internal
@@ -57,6 +67,11 @@ void ServeGemmRowBlockAvx2(const double* a, size_t lda, const double* b,
 void ServeSigmoidMeanColumnsAvx2(const double* logits, size_t ld, size_t m,
                                  size_t n, double denom, double* out) {
   ServeSigmoidMeanColumnsGeneric(logits, ld, m, n, denom, out);
+}
+
+void ServeGatherTransposeAvx2(const double* slab, size_t k,
+                              const int32_t* ids, size_t count, double* bt) {
+  ServeGatherTransposeGeneric(slab, k, ids, count, bt);
 }
 
 bool ServeKernelAvx2Available() { return false; }

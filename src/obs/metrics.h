@@ -31,10 +31,13 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value.
+/// Instantaneous value: Set overwrites it, Add moves it by a delta.
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(double delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 

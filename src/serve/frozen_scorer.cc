@@ -170,15 +170,20 @@ void FrozenScorer::ScoreStackedCore(const StackedRequest* requests,
 
   // Pack every profile's interest rows into one contiguous A block, in
   // request order then ascending profile order — the epilogue's per-segment
-  // mean walks rows in exactly the order the oracle walks the profile.
+  // mean walks rows in exactly the order the oracle walks the profile. A
+  // zero-dim model has no rows to copy (and null row pointers, which
+  // memcpy may not take even for zero bytes).
   double* packed = s.packed.data();
   size_t row = 0;
   for (size_t r = 0; r < count; ++r) {
     for (int32_t pid : *requests[r].profile) {
       SUBREC_DCHECK_GE(pid, 0);
       SUBREC_DCHECK_LT(static_cast<size_t>(pid), interest_.rows());
-      std::memcpy(packed + row * k, interest_.row_data(static_cast<size_t>(pid)),
-                  k * sizeof(double));
+      if (k > 0) {
+        std::memcpy(packed + row * k,
+                    interest_.row_data(static_cast<size_t>(pid)),
+                    k * sizeof(double));
+      }
       ++row;
     }
   }

@@ -41,6 +41,12 @@ obs::Counter* SourceCounter(CandidateSource source) {
 
 }  // namespace
 
+uint64_t ResultCacheKey(uint64_t generation, int32_t user, int n) {
+  return ((generation & 0xFFFFu) << 48) |
+         (static_cast<uint64_t>(static_cast<uint32_t>(user)) << 16) |
+         (static_cast<uint64_t>(n) & 0xFFFFu);
+}
+
 Result<std::shared_ptr<const ServingState>> ServingState::FromSnapshot(
     SnapshotData data, CandidateIndexOptions index_options) {
   if (data.interest.rows() == 0)
@@ -104,8 +110,9 @@ RecommendService::RecommendService(const ServeOptions& options)
       observer_(options.observer),
       pool_(options.num_threads) {
   if (options_.cache_capacity > 0) {
-    cache_ = std::make_unique<ResultCache>(options_.cache_capacity,
-                                           options_.cache_shards);
+    cache_ = std::make_unique<ResultCache>(
+        options_.cache_capacity, options_.cache_shards,
+        obs::MetricsRegistry::Global().GetGauge("serve.cache.shards_used"));
   }
 }
 
@@ -237,12 +244,7 @@ RecResponse RecommendService::TopNOnState(
   }
   if (t != nullptr) t->generation = generation;
 
-  // Cache key: generation | user | n, all range-checked so distinct
-  // requests can never alias to the same slot.
-  const uint64_t key = ((generation & 0xFFFFu) << 48) |
-                       (static_cast<uint64_t>(static_cast<uint32_t>(user))
-                        << 16) |
-                       (static_cast<uint64_t>(n) & 0xFFFFu);
+  const uint64_t key = ResultCacheKey(generation, user, n);
   if (cache_) {
     bool hit = false;
     {

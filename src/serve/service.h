@@ -68,6 +68,11 @@ struct RecRequest {
   int n = 10;
 };
 
+/// The result cache's key: generation << 48 | user << 16 | n. The service
+/// range-checks user and n first (n < 2^16), so distinct requests within
+/// one generation never alias to the same slot.
+uint64_t ResultCacheKey(uint64_t generation, int32_t user, int n);
+
 struct RecResponse {
   Status status;
   std::vector<ScoredPaper> items;

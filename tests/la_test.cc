@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -371,17 +372,52 @@ TEST(Dot, PointerOverloadIsTheVectorOverload) {
 }
 
 TEST(ServeKernel, GatherTransposeLaysRowsOutAsColumns) {
-  Matrix slab(5, 3);
+  // bt[d * count + i] = slab[ids[i] * k + d], bit for bit. Dims sweep the
+  // 4-wide transpose block and its scalar tail; counts sweep the candidate
+  // lane blocks (4, then one at a time). Ids are scattered, repeat, and
+  // include the slab's last row, so an over-wide load would run off the
+  // end under ASan. Every kernel this host can run is checked, the
+  // dispatched one first; a guard band past the tile must stay untouched.
+  using Gather = void (*)(const double*, size_t, const int32_t*, size_t,
+                          double*);
+  std::vector<std::pair<const char*, Gather>> kernels = {
+      {"dispatched", ServeGatherTranspose},
+      {"generic", internal::ServeGatherTransposeGeneric}};
+  if (internal::ServeKernelAvx2Available())
+    kernels.push_back({"avx2", internal::ServeGatherTransposeAvx2});
+
+  constexpr size_t kRows = 37;
+  constexpr size_t kGuard = 8;
+  constexpr double kUntouched = -12345.0;
   Rng rng(10);
-  for (size_t i = 0; i < slab.size(); ++i) slab[i] = rng.Gaussian();
-  const std::vector<int32_t> ids = {4, 0, 2};
-  std::vector<double> bt(slab.cols() * ids.size());
-  ServeGatherTranspose(slab.data(), slab.cols(), ids.data(), ids.size(),
-                       bt.data());
-  for (size_t i = 0; i < ids.size(); ++i)
-    for (size_t d = 0; d < slab.cols(); ++d)
-      EXPECT_EQ(bt[d * ids.size() + i],
-                slab(static_cast<size_t>(ids[i]), d));
+  for (const size_t k : {0, 1, 3, 4, 7, 8, 9, 24, 48, 50}) {
+    Matrix slab(kRows, k);
+    for (size_t i = 0; i < slab.size(); ++i) slab[i] = rng.Gaussian();
+    for (const size_t count : {0, 1, 3, 4, 5, 7, 8, 9, 16, 17, 80, 81}) {
+      std::vector<int32_t> ids(count);
+      for (int32_t& id : ids)
+        id = static_cast<int32_t>(rng.UniformInt(kRows));
+      if (count > 0) ids.back() = static_cast<int32_t>(kRows - 1);
+      if (count > 2) ids[count / 2] = ids[0];
+      for (const auto& [name, gather] : kernels) {
+        std::vector<double> bt(k * count + kGuard, kUntouched);
+        gather(slab.data(), k, ids.data(), count, bt.data());
+        for (size_t i = 0; i < count; ++i) {
+          for (size_t d = 0; d < k; ++d) {
+            const double want = slab(static_cast<size_t>(ids[i]), d);
+            ASSERT_EQ(std::memcmp(&bt[d * count + i], &want, sizeof(double)),
+                      0)
+                << name << " k=" << k << " count=" << count << " row " << i
+                << " dim " << d;
+          }
+        }
+        for (size_t g = k * count; g < bt.size(); ++g)
+          ASSERT_EQ(bt[g], kUntouched)
+              << name << " k=" << k << " count=" << count << " wrote past "
+              << "the tile";
+      }
+    }
+  }
 }
 
 TEST(ServeKernel, GemmIsBitIdenticalToScalarDot) {

@@ -148,7 +148,8 @@ TEST(FileUtil, MissingFileIsNotFound) {
 // --- ShardedLruCache ------------------------------------------------------
 
 TEST(LruCache, PutGetOverwrite) {
-  ShardedLruCache<int, std::string> cache(8, 2);
+  obs::Gauge shards_used;
+  ShardedLruCache<int, std::string> cache(8, 2, &shards_used);
   EXPECT_FALSE(cache.Get(1).has_value());
   cache.Put(1, "a");
   cache.Put(2, "b");
@@ -162,7 +163,8 @@ TEST(LruCache, PutGetOverwrite) {
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {
   // One shard so the recency order is global and deterministic.
-  ShardedLruCache<int, int> cache(2, 1);
+  obs::Gauge shards_used;
+  ShardedLruCache<int, int> cache(2, 1, &shards_used);
   cache.Put(1, 10);
   cache.Put(2, 20);
   ASSERT_TRUE(cache.Get(1).has_value());  // refresh 1; 2 is now oldest
@@ -173,7 +175,8 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruCache, ClearInvalidatesEverything) {
-  ShardedLruCache<int, int> cache(64, 4);
+  obs::Gauge shards_used;
+  ShardedLruCache<int, int> cache(64, 4, &shards_used);
   for (int i = 0; i < 32; ++i) cache.Put(i, i);
   EXPECT_GT(cache.size(), 0u);
   cache.Clear();
@@ -181,10 +184,12 @@ TEST(LruCache, ClearInvalidatesEverything) {
   EXPECT_FALSE(cache.Get(5).has_value());
 }
 
-/// ThreadPool + cache hammer: concurrent Get/Put/Clear across shards. Run
-/// under the tsan preset this is the serving-path race detector.
+/// ThreadPool + cache hammer: concurrent Get/Put/Clear across shards, with
+/// the shards-used gauge attached. Run under the tsan preset this is the
+/// serving-path race detector.
 TEST(LruCache, ConcurrentHammer) {
-  ShardedLruCache<uint64_t, std::vector<int>> cache(256, 8);
+  obs::Gauge shards_used;
+  ShardedLruCache<uint64_t, std::vector<int>> cache(256, 8, &shards_used);
   par::ThreadPool pool(8);
   std::atomic<int> done{0};
   for (int t = 0; t < 16; ++t) {
@@ -205,6 +210,49 @@ TEST(LruCache, ConcurrentHammer) {
   pool.Shutdown();
   EXPECT_EQ(done.load(), 16);
   EXPECT_GT(cache.hits() + cache.misses(), 0);
+  // Quiescent now: the count must be exact, so one more Clear lands on 0
+  // unless a transition was lost or counted twice under contention.
+  EXPECT_LE(shards_used.value(), 8.0);
+  cache.Clear();
+  EXPECT_EQ(shards_used.value(), 0.0);
+}
+
+/// The service's key layout in the service's default cache shape (4,096
+/// entries over 16 shards): 4,096 users at n = 10 must nearly all stay
+/// resident. If the key's low bits picked the shard, every one of these
+/// keys would share a single 256-entry shard.
+TEST(LruCache, ServiceKeysFillTheWholeCache) {
+  obs::Gauge shards_used;
+  ShardedLruCache<uint64_t, int32_t> cache(4096, 16, &shards_used);
+  for (int32_t user = 0; user < 4096; ++user)
+    cache.Put(ResultCacheKey(/*generation=*/1, user, /*n=*/10), user);
+  EXPECT_GE(cache.size(), 4096u * 9 / 10);
+}
+
+/// Keys that differ only in `user` reach all 16 shards. The gauge follows
+/// each shard's first insert and its emptying by Clear or by the cache's
+/// destruction, so two caches on one gauge read as their total.
+TEST(LruCache, ShardsUsedGaugeFollowsFirstInsertAndClear) {
+  obs::Gauge gauge;
+  {
+    ShardedLruCache<uint64_t, int32_t> cache(64, 16, &gauge);
+    for (int32_t user = 0; user < 256; ++user)
+      cache.Put(ResultCacheKey(/*generation=*/1, user, /*n=*/10), user);
+    EXPECT_EQ(gauge.value(), 16.0);
+    cache.Clear();
+    EXPECT_EQ(gauge.value(), 0.0);
+    const uint64_t key = ResultCacheKey(/*generation=*/2, 0, /*n=*/10);
+    cache.Put(key, 0);
+    cache.Put(key, 1);  // overwrite
+    EXPECT_EQ(gauge.value(), 1.0);
+    {
+      ShardedLruCache<uint64_t, int32_t> other(64, 16, &gauge);
+      other.Put(key, 0);
+      EXPECT_EQ(gauge.value(), 2.0);
+    }
+    EXPECT_EQ(gauge.value(), 1.0);
+  }
+  EXPECT_EQ(gauge.value(), 0.0);
 }
 
 // --- Snapshot format ------------------------------------------------------
@@ -1079,6 +1127,36 @@ TEST_F(ServiceTest, CacheCanBeDisabled) {
   EXPECT_FALSE(service.TopN(user, 5).cache_hit);
   EXPECT_FALSE(service.TopN(user, 5).cache_hit);
   EXPECT_EQ(service.cache_hits(), 0);
+}
+
+TEST_F(ServiceTest, CacheOfFourTimesTheUsersServesTheSecondPassAsHits) {
+  const Result<SnapshotData> data = SnapshotReader::ReadFile(*snapshot_path_);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const size_t users = data.value().profiles.size();
+  ASSERT_GT(users, 0u);
+  // statusz and Prometheus read the spread from the registry gauge, which
+  // sums every live cache.
+  const obs::Gauge& shards_used =
+      *obs::MetricsRegistry::Global().GetGauge("serve.cache.shards_used");
+  const double shards_used_before = shards_used.value();
+  ServeOptions options;
+  options.cache_capacity = 4 * users;
+  RecommendService service(options);
+  ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
+  for (size_t u = 0; u < users; ++u) {
+    const RecResponse r = service.TopN(static_cast<int32_t>(u), 10);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_FALSE(r.cache_hit) << "user " << u;
+  }
+  for (size_t u = 0; u < users; ++u)
+    EXPECT_TRUE(service.TopN(static_cast<int32_t>(u), 10).cache_hit)
+        << "user " << u;
+  EXPECT_EQ(service.cache_hits(), static_cast<int64_t>(users));
+
+  // A reload empties every shard of this service's cache.
+  EXPECT_GE(shards_used.value() - shards_used_before, 8.0);
+  ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
+  EXPECT_EQ(shards_used.value(), shards_used_before);
 }
 
 TEST_F(ServiceTest, SwapInvalidatesCacheAndBumpsGeneration) {
