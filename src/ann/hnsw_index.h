@@ -1,6 +1,7 @@
 #ifndef SUBREC_ANN_HNSW_INDEX_H_
 #define SUBREC_ANN_HNSW_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -145,15 +146,17 @@ class HnswIndex : public Index {
   HnswIndex() = default;
 
   /// Arena row for (node, level): row[0] = link count, row[1..] = links.
-  /// Level 0 rows live in level0_ (capacity 2M); levels >= 1 live in
-  /// upper_ at (upper_row_[node] + level - 1) rows in (capacity M).
+  /// Level 0 rows live in level0_ (capacity cap0_); levels >= 1 live in
+  /// upper_ at (upper_row_[node] + level - 1) rows in (capacity cap_upper_).
   int32_t* LinkRow(size_t node, int32_t level);
   const int32_t* LinkRow(size_t node, int32_t level) const;
   size_t RowCapacity(int32_t level) const {
-    return level == 0 ? 2 * static_cast<size_t>(M_)
-                      : static_cast<size_t>(M_);
+    return level == 0 ? cap0_ : cap_upper_;
   }
-  /// Sizes the arenas for the already-populated levels_ array.
+  /// Widest row of either band: sizes the per-row distance batches.
+  size_t MaxRowCapacity() const { return std::max(cap0_, cap_upper_); }
+  /// Sizes the arenas for the already-populated levels_ array and the
+  /// row capacities cap0_ / cap_upper_.
   void AllocateArena();
 
   double Dist(int32_t node, const double* query) const;
@@ -192,10 +195,16 @@ class HnswIndex : public Index {
   std::vector<int32_t> ids_;
   std::vector<double> vectors_;
   std::vector<int32_t> levels_;
-  /// Level-0 band: node's row at node * (1 + 2M).
+  /// Link slots per row of the level-0 and upper bands. Build reserves the
+  /// degree bounds (2M and M); Deserialize sizes them from the widest row
+  /// actually on the wire, so a header M can never inflate the arena past
+  /// what the link bytes justify.
+  size_t cap0_ = 0;
+  size_t cap_upper_ = 0;
+  /// Level-0 band: node's row at node * (1 + cap0_).
   std::vector<int32_t> level0_;
   /// Upper bands: node's rows for levels 1..levels_[node] packed
-  /// consecutively starting at row upper_row_[node], stride 1 + M.
+  /// consecutively starting at row upper_row_[node], stride 1 + cap_upper_.
   std::vector<int32_t> upper_;
   std::vector<size_t> upper_row_;
 };
