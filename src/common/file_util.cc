@@ -1,8 +1,9 @@
 #include "common/file_util.h"
 
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
-#include <utility>
+#include <system_error>
 
 namespace subrec {
 
@@ -11,12 +12,20 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (!in.is_open()) {
     return Status::NotFound("cannot open for read: " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
+  // One sized read straight into the result, no stream buffer copy. Only
+  // regular files have a size; anything else (a directory, a pipe) is an
+  // error rather than a guess.
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) {
+    return Status::Internal("cannot size " + path + ": " + error.message());
+  }
+  std::string out(static_cast<size_t>(size), '\0');
+  in.read(out.data(), static_cast<std::streamsize>(size));
+  if (static_cast<std::uintmax_t>(in.gcount()) != size) {
     return Status::Internal("read failed: " + path);
   }
-  return std::move(buf).str();
+  return out;
 }
 
 Status WriteStringToFile(const std::string& path, std::string_view content) {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstddef>
+#include <initializer_list>
 #include <utility>
 
 #include "common/file_util.h"
@@ -10,7 +11,6 @@
 namespace subrec::serve {
 namespace {
 
-using wire::AppendDouble;
 using wire::AppendI32;
 using wire::AppendString;
 using wire::AppendU32;
@@ -38,16 +38,15 @@ enum SectionTag : uint32_t {
 
 void AppendI32Vector(std::string* out, const std::vector<int32_t>& v) {
   AppendU64(out, v.size());
-  for (int32_t x : v) AppendI32(out, x);
+  wire::AppendArray(out, v.data(), v.size());
 }
 
 /// Uniform-width double matrix: rows u64, cols u64, row-major values. The
-/// in-memory slab is already row-major, so encoding is one flat sweep.
+/// in-memory slab is already row-major, so encoding is one bulk copy.
 void EncodeMatrix(const la::Matrix& m, std::string* out) {
   AppendU64(out, m.rows());
   AppendU64(out, m.cols());
-  const double* flat = m.data();
-  for (size_t i = 0; i < m.size(); ++i) AppendDouble(out, flat[i]);
+  wire::AppendArray(out, m.data(), m.size());
 }
 
 Status DecodeMatrix(std::string_view bytes, la::Matrix* out) {
@@ -75,10 +74,7 @@ Status DecodeMatrix(std::string_view bytes, la::Matrix* out) {
   // matrix, no transient per-row vectors (the load-time allocation
   // regression test counts on this).
   out->ResizeOverwrite(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  double* flat = out->data();
-  for (size_t i = 0; i < out->size(); ++i)
-    SUBREC_RETURN_NOT_OK(c.ReadDouble(&flat[i]));
-  return Status::Ok();
+  return c.ReadArray(out->data(), out->size());
 }
 
 Status DecodeI32Vector(std::string_view bytes, std::vector<int32_t>* out) {
@@ -88,8 +84,30 @@ Status DecodeI32Vector(std::string_view bytes, std::vector<int32_t>* out) {
   if (n > c.remaining() / 4)
     return Status::OutOfRange("snapshot int array larger than its section");
   out->resize(static_cast<size_t>(n));
-  for (int32_t& v : *out) SUBREC_RETURN_NOT_OK(c.ReadI32(&v));
-  return Status::Ok();
+  return c.ReadArray(out->data(), out->size());
+}
+
+/// Upper bound on the bytes SnapshotWriter emits for `d`, so the output
+/// buffer is allocated once.
+size_t EncodedSizeBound(const SnapshotData& d) {
+  constexpr size_t kMaxSections = 9;
+  constexpr size_t kFrameSize = 4 + 8;  // tag + byte_size
+  size_t size = kHeaderSize + kMaxSections * kFrameSize + kFooterSize;
+  size += 4 + d.model_name.size() + 4 + d.dataset.size() + 4;
+  for (const la::Matrix* m : {&d.interest, &d.influence, &d.text})
+    size += 16 + 8 * m->size();
+  for (const std::vector<int32_t>* v : {&d.years, &d.disciplines, &d.topics})
+    size += 8 + 4 * v->size();
+  size += 8;
+  for (const auto& profile : d.profiles) size += 8 + 4 * profile.size();
+  return size + d.ann_index.size();
+}
+
+/// Overwrites the `width`-byte little-endian field at `at`: a header or
+/// frame field that is only known once the bytes after it are down.
+void PatchLe(std::string* out, size_t at, uint64_t v, size_t width) {
+  for (size_t i = 0; i < width; ++i)
+    (*out)[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
 /// Structural consistency of a parsed snapshot: every per-paper array must
@@ -115,78 +133,101 @@ Status ValidateData(const SnapshotData& d) {
   return Status::Ok();
 }
 
+/// Slicing-by-8 tables for the reflected CRC-32 (poly 0xEDB88320):
+/// table[0] is the classic bytewise table, and table[k][b] is the CRC
+/// contribution of byte b followed by k zero bytes.
+constexpr std::array<std::array<uint32_t, 256>, 8> MakeCrcTables() {
+  std::array<std::array<uint32_t, 256>, 8> t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k)
+    for (size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}
+
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables =
+    MakeCrcTables();
+
+/// Little-endian u32 from four explicit bytes: the same value on any host
+/// byte order (compilers fuse it into one load where the orders agree).
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  // Table-driven reflected CRC-32 (poly 0xEDB88320), computed lazily once.
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (char ch : data)
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
+  // Eight bytes per step: the eight table lookups are independent, where
+  // the bytewise loop chains one lookup per byte.
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
 SnapshotWriter::SnapshotWriter(const SnapshotData& data) {
-  std::string payload;
+  // Every section is encoded straight into bytes_, reserved once: the
+  // header's section count and payload size and each frame's byte_size
+  // are patched in after the bytes they describe, and the checksum runs
+  // over the payload in place.
+  std::string& out = bytes_;
+  out.reserve(EncodedSizeBound(data));
+  AppendU64(&out, kMagic);
+  AppendU32(&out, kVersion);
+  AppendU32(&out, 0);  // section_count, patched below
+  AppendU64(&out, 0);  // payload_size, patched below
   uint32_t sections = 0;
-  auto add_section = [&](uint32_t tag, const std::string& body) {
-    AppendU32(&payload, tag);
-    AppendU64(&payload, body.size());
-    payload.append(body);
+  auto add_section = [&](uint32_t tag, auto&& encode_body) {
+    AppendU32(&out, tag);
+    const size_t size_at = out.size();
+    AppendU64(&out, 0);
+    encode_body();
+    PatchLe(&out, size_at, out.size() - size_at - 8, 8);
     ++sections;
   };
 
-  {
-    std::string body;
-    AppendString(&body, data.model_name);
-    AppendString(&body, data.dataset);
-    AppendI32(&body, data.split_year);
-    add_section(kMetaTag, body);
-  }
-  auto add_matrix = [&](uint32_t tag, const la::Matrix& m) {
-    std::string body;
-    EncodeMatrix(m, &body);
-    add_section(tag, body);
-  };
-  add_matrix(kInterestTag, data.interest);
-  add_matrix(kInfluenceTag, data.influence);
-  add_matrix(kTextTag, data.text);
-  auto add_ints = [&](uint32_t tag, const std::vector<int32_t>& v) {
-    std::string body;
-    AppendI32Vector(&body, v);
-    add_section(tag, body);
-  };
-  add_ints(kYearsTag, data.years);
-  add_ints(kDisciplinesTag, data.disciplines);
-  add_ints(kTopicsTag, data.topics);
-  {
-    std::string body;
-    AppendU64(&body, data.profiles.size());
-    for (const auto& profile : data.profiles) AppendI32Vector(&body, profile);
-    add_section(kProfilesTag, body);
-  }
+  add_section(kMetaTag, [&] {
+    AppendString(&out, data.model_name);
+    AppendString(&out, data.dataset);
+    AppendI32(&out, data.split_year);
+  });
+  add_section(kInterestTag, [&] { EncodeMatrix(data.interest, &out); });
+  add_section(kInfluenceTag, [&] { EncodeMatrix(data.influence, &out); });
+  add_section(kTextTag, [&] { EncodeMatrix(data.text, &out); });
+  add_section(kYearsTag, [&] { AppendI32Vector(&out, data.years); });
+  add_section(kDisciplinesTag,
+              [&] { AppendI32Vector(&out, data.disciplines); });
+  add_section(kTopicsTag, [&] { AppendI32Vector(&out, data.topics); });
+  add_section(kProfilesTag, [&] {
+    AppendU64(&out, data.profiles.size());
+    for (const auto& profile : data.profiles) AppendI32Vector(&out, profile);
+  });
   // The ANN section is optional and opaque: the serialized index carries its
   // own magic/version/bounds, so the snapshot layer just frames the bytes.
   // Omitting the section entirely when empty keeps ANN-free snapshots
   // byte-identical to the pre-ANN format.
-  if (!data.ann_index.empty()) add_section(kAnnIndexTag, data.ann_index);
+  if (!data.ann_index.empty())
+    add_section(kAnnIndexTag, [&] { out.append(data.ann_index); });
 
-  bytes_.reserve(kHeaderSize + payload.size() + kFooterSize);
-  AppendU64(&bytes_, kMagic);
-  AppendU32(&bytes_, kVersion);
-  AppendU32(&bytes_, sections);
-  AppendU64(&bytes_, payload.size());
-  bytes_.append(payload);
-  AppendU32(&bytes_, Crc32(payload));
+  const size_t payload_size = out.size() - kHeaderSize;
+  PatchLe(&out, 12, sections, 4);
+  PatchLe(&out, 16, payload_size, 8);
+  AppendU32(&out,
+            Crc32(std::string_view(out).substr(kHeaderSize, payload_size)));
 }
 
 Status SnapshotWriter::WriteFile(const std::string& path) const {
@@ -263,7 +304,7 @@ Result<SnapshotData> SnapshotReader::Parse(std::string_view bytes) {
           if (len > p.remaining() / 4)
             return Status::OutOfRange("snapshot: profile longer than section");
           profile.resize(static_cast<size_t>(len));
-          for (int32_t& pid : profile) SUBREC_RETURN_NOT_OK(p.ReadI32(&pid));
+          SUBREC_RETURN_NOT_OK(p.ReadArray(profile.data(), profile.size()));
         }
         break;
       }
