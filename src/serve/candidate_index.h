@@ -70,6 +70,13 @@ const char* CandidateSourceName(CandidateSource source);
 /// analogue of what rec::BuildCandidateSet assembles offline per eval run.
 /// A coarse inverted topic index drives pruning; users with no usable
 /// profile fall back to the full new-paper pool. Immutable after build.
+///
+/// A filtered list depends only on the profile's distinct topic and
+/// discipline ids, so each distinct set is built once and every user
+/// holding it shares the one list (the same address, which lets the
+/// service stack their requests into one scoring pass). Empty-profile,
+/// fallback and unknown users all share the full new-paper pool; ANN
+/// users keep one list each.
 class CandidateIndex {
  public:
   /// `ann_index` is the frozen embedding index (nullable). Checked
@@ -83,7 +90,8 @@ class CandidateIndex {
                  const ann::Index* ann_index = nullptr);
 
   /// The precomputed candidate list of `user` (ascending paper ids).
-  /// Unknown users get the full new-paper pool.
+  /// Unknown users get the full new-paper pool. Users with the same list
+  /// get the same reference.
   const std::vector<int32_t>& CandidatesFor(int32_t user) const;
 
   /// The retrieval branch that built `user`'s list (kUnknownUser for ids
@@ -91,19 +99,23 @@ class CandidateIndex {
   CandidateSource SourceFor(int32_t user) const;
 
   /// All in-window new papers, ascending.
-  const std::vector<int32_t>& AllNewPapers() const { return new_papers_; }
+  const std::vector<int32_t>& AllNewPapers() const { return lists_[0]; }
 
   /// Inverted index: in-window new papers of one topic, ascending.
   const std::vector<int32_t>& PapersForTopic(int32_t topic) const;
 
-  size_t num_users() const { return per_user_.size(); }
-  size_t num_new_papers() const { return new_papers_.size(); }
+  size_t num_users() const { return per_user_list_.size(); }
+  size_t num_new_papers() const { return lists_[0].size(); }
 
  private:
-  std::vector<int32_t> new_papers_;
-  std::vector<std::vector<int32_t>> by_topic_;
-  std::vector<std::vector<int32_t>> per_user_;
+  /// Every distinct candidate list; lists_[0] is the full new-paper pool.
+  std::vector<std::vector<int32_t>> lists_;
+  /// Per user: the index of its list in lists_, and the branch that built
+  /// it.
+  std::vector<uint32_t> per_user_list_;
   std::vector<CandidateSource> per_user_source_;
+  /// In-window new papers per topic id, up to the largest such topic.
+  std::vector<std::vector<int32_t>> by_topic_;
   std::vector<int32_t> empty_;
 };
 
