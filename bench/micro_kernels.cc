@@ -1,7 +1,7 @@
 // Engineering microbenchmarks (google-benchmark): the hot kernels under
 // every experiment — dense matmul, autodiff forward/backward, the hashed
-// sentence encoder, CRF Viterbi decoding, GMM EM, LOF, and corpus
-// generation throughput. Useful for tracking performance regressions; no
+// sentence encoder, CRF Viterbi decoding, GMM EM, LOF, the serve scoring
+// kernels, the AVX2 ANN distance kernel, and corpus generation throughput. Useful for tracking performance regressions; no
 // paper table corresponds to this binary.
 
 #include <benchmark/benchmark.h>
@@ -21,6 +21,7 @@
 #include "datagen/corpus_generator.h"
 #include "datagen/datasets.h"
 #include "labeling/trainer.h"
+#include "la/ann_kernel.h"
 #include "la/ops.h"
 #include "la/serve_kernel.h"
 #include "par/parallel.h"
@@ -207,6 +208,39 @@ void BM_ServeScorePairwise(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_ServeScorePairwise)->Arg(4096);
+
+// --- ANN distance kernel ------------------------------------------------
+//
+// One beam-search expansion of the AVX2 TU, timed directly (an AVX-512
+// host would otherwise dispatch past it): a full level-0 row's worth of
+// neighbors (2M = 32 at M = 16) scattered over a 64k x 48 slab, a new row
+// set every call.
+
+void BM_AnnDotBatchAvx2(benchmark::State& state) {
+  if (!la::internal::AnnKernelAvx2Available()) {
+    state.SkipWithError("AVX2 ANN kernel not available on this host");
+    return;
+  }
+  constexpr size_t kRows = size_t{1} << 16, kDim = 48, kCount = 32;
+  constexpr size_t kBatches = 256;
+  Rng rng(8);
+  std::vector<double> slab(kRows * kDim), query(kDim), out(kCount);
+  for (double& v : slab) v = rng.Gaussian();
+  for (double& v : query) v = rng.Gaussian();
+  std::vector<int32_t> nodes(kBatches * kCount);
+  for (int32_t& id : nodes) id = static_cast<int32_t>(rng.UniformInt(kRows));
+  size_t batch = 0;
+  for (auto _ : state) {
+    const int32_t* ids = nodes.data() + (batch++ % kBatches) * kCount;
+    la::internal::AnnDotBatchAvx2(query.data(), slab.data(), kDim, ids, kCount,
+                                  out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kCount));
+}
+BENCHMARK(BM_AnnDotBatchAvx2);
 
 void BM_CorpusGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -47,7 +47,9 @@ namespace SUBREC_ANN_NS {
 #if SUBREC_TRANSPOSE_VECTOR_OK
 
 /// L candidates' inner products, one per lane, d ascending in blocks of L
-/// with a scalar continuation for the dim % L tail.
+/// with a scalar continuation for the dim % L tail. Each row block is one
+/// unaligned vector load (a 32-byte __builtin_memcpy bounced through the
+/// stack under GCC 12).
 template <typename Vec, size_t L>
 inline void DotBlock(const double* query, size_t dim,
                      const double* const* rows, double* out) {
@@ -55,10 +57,7 @@ inline void DotBlock(const double* query, size_t dim,
   size_t d = 0;
   for (; d + L <= dim; d += L) {
     Vec r[L];
-    for (size_t l = 0; l < L; ++l) {
-      // Unaligned contiguous load of rows[l][d .. d+L-1].
-      __builtin_memcpy(&r[l], rows[l] + d, sizeof(Vec));
-    }
+    for (size_t l = 0; l < L; ++l) LoadUnaligned(rows[l] + d, &r[l]);
     Vec t[L];
     Transpose(r, t);
     for (size_t j = 0; j < L; ++j) {

@@ -49,6 +49,14 @@ inline void Transpose(const Vec4* r, Vec4* t) {
 #if defined(__AVX512F__)
 
 typedef double Vec8 __attribute__((vector_size(64)));
+/// Vec8's may-alias, 8-byte-aligned twin (see Vec4Unaligned).
+typedef double Vec8Unaligned
+    __attribute__((vector_size(64), aligned(8), may_alias));
+
+/// One unaligned vmovupd of p[0..7].
+inline void LoadUnaligned(const double* p, Vec8* out) {
+  *out = *reinterpret_cast<const Vec8Unaligned*>(p);
+}
 
 /// 8x8 transpose: three butterfly stages, 24 shuffles.
 inline void Transpose(const Vec8* r, Vec8* t) {
@@ -85,9 +93,16 @@ inline void Transpose(const Vec8* r, Vec8* t) {
 /// (GCC 12's generic tuning expands a 32-byte __builtin_memcpy into two
 /// 16-byte moves through the stack, and a 32-byte reload of that stack
 /// slot then stalls on store forwarding: the gather written with memcpy
-/// ran slower than the scalar loop.)
+/// ran slower than the scalar loop.) Name a twin directly at each access:
+/// passed as a template argument, GCC drops its attributes and the access
+/// silently becomes an aligned one.
 typedef double Vec4Unaligned
     __attribute__((vector_size(32), aligned(8), may_alias));
+
+/// One unaligned vmovupd of p[0..3].
+inline void LoadUnaligned(const double* p, Vec4* out) {
+  *out = *reinterpret_cast<const Vec4Unaligned*>(p);
+}
 
 /// Copies 4 rows into 4 adjacent columns of a transposed tile with leading
 /// dimension ld: bt[d * ld + l] = rows[l][d]. Per 4 dims: one contiguous
@@ -98,8 +113,7 @@ inline void GatherBlock(const double* const* rows, size_t k, double* bt,
   size_t d = 0;
   for (; d + 4 <= k; d += 4) {
     Vec4 r[4];
-    for (size_t l = 0; l < 4; ++l)
-      r[l] = *reinterpret_cast<const Vec4Unaligned*>(rows[l] + d);
+    for (size_t l = 0; l < 4; ++l) LoadUnaligned(rows[l] + d, &r[l]);
     Vec4 t[4];
     Transpose(r, t);
     for (size_t j = 0; j < 4; ++j)
