@@ -455,25 +455,39 @@ TEST(AnnKernel, DotBatchIsBitIdenticalToScalarDot) {
   // picked. Dims sweep the 8-block/4-block/scalar-tail boundaries of the
   // transpose kernel, counts sweep the lane-block boundaries, and the
   // node list is scattered and repeats rows (the stamp filter upstream
-  // normally dedups, but the kernel must not rely on it).
-  Rng rng(13);
-  for (const size_t dim : {1u, 3u, 4u, 7u, 8u, 11u, 16u, 24u, 48u, 50u}) {
-    constexpr size_t kRows = 64;
-    std::vector<double> slab(kRows * dim), query(dim);
-    for (double& x : slab) x = rng.Gaussian();
-    for (double& x : query) x = rng.Gaussian();
-    for (const size_t count : {1u, 2u, 5u, 8u, 9u, 16u, 33u}) {
-      std::vector<int32_t> nodes(count);
-      for (int32_t& node : nodes)
-        node = static_cast<int32_t>(rng.UniformInt(kRows));
-      std::vector<double> got(count, -1.0);
-      AnnDotBatch(query.data(), slab.data(), dim, nodes.data(), count,
-                  got.data());
-      for (size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(got[i],
-                  Dot(query.data(),
-                      slab.data() + static_cast<size_t>(nodes[i]) * dim, dim))
-            << "dim " << dim << " count " << count << " slot " << i;
+  // normally dedups, but the kernel must not rely on it). Odd dims leave
+  // rows 8-byte aligned only. Every kernel this host can run is swept
+  // directly, not just the one the dispatcher picks.
+  using Kernel = void (*)(const double*, const double*, size_t,
+                          const int32_t*, size_t, double*);
+  std::vector<std::pair<const char*, Kernel>> kernels = {
+      {"dispatched", &AnnDotBatch}, {"generic", &internal::AnnDotBatchGeneric}};
+  if (internal::AnnKernelAvx2Available())
+    kernels.emplace_back("avx2", &internal::AnnDotBatchAvx2);
+  if (internal::AnnKernelAvx512Available())
+    kernels.emplace_back("avx512", &internal::AnnDotBatchAvx512);
+  for (const auto& [name, kernel] : kernels) {
+    Rng rng(13);
+    for (const size_t dim : {1u, 3u, 4u, 7u, 8u, 11u, 16u, 24u, 48u, 50u}) {
+      constexpr size_t kRows = 64;
+      std::vector<double> slab(kRows * dim), query(dim);
+      for (double& x : slab) x = rng.Gaussian();
+      for (double& x : query) x = rng.Gaussian();
+      for (const size_t count : {1u, 2u, 5u, 8u, 9u, 16u, 33u}) {
+        std::vector<int32_t> nodes(count);
+        for (int32_t& node : nodes)
+          node = static_cast<int32_t>(rng.UniformInt(kRows));
+        std::vector<double> got(count, -1.0);
+        kernel(query.data(), slab.data(), dim, nodes.data(), count,
+               got.data());
+        for (size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[i], Dot(query.data(),
+                                slab.data() +
+                                    static_cast<size_t>(nodes[i]) * dim,
+                                dim))
+              << name << " dim " << dim << " count " << count << " slot "
+              << i;
+        }
       }
     }
   }
