@@ -7,6 +7,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ann/exact_index.h"
@@ -314,7 +315,7 @@ WireCensus ScanWire(const std::string& bytes) {
   uint64_t magic = 0, n = 0, seed = 0;
   uint32_t version = 0, dim = 0, ef = 0;
   int32_t max_level = 0, entry = 0, skip = 0;
-  double dskip = 0.0;
+  std::string_view vectors;
   SUBREC_CHECK(c.ReadU64(&magic).ok());
   SUBREC_CHECK(c.ReadU32(&version).ok());
   SUBREC_CHECK(c.ReadU32(&dim).ok());
@@ -328,8 +329,7 @@ WireCensus ScanWire(const std::string& bytes) {
   w.levels.resize(w.n);
   for (int32_t& level : w.levels) SUBREC_CHECK(c.ReadI32(&level).ok());
   for (size_t i = 0; i < w.n; ++i) SUBREC_CHECK(c.ReadI32(&skip).ok());
-  for (size_t i = 0; i < w.n * dim; ++i)
-    SUBREC_CHECK(c.ReadDouble(&dskip).ok());
+  SUBREC_CHECK(c.ReadView(w.n * dim * 8, &vectors).ok());
   // Header (48 bytes) + levels + ids + vector slab.
   w.graph_offset = 48 + w.n * 8 + w.n * static_cast<size_t>(dim) * 8;
   for (size_t i = 0; i < w.n; ++i) {
