@@ -1,11 +1,13 @@
 // Engineering microbenchmarks (google-benchmark): the hot kernels under
 // every experiment — dense matmul, autodiff forward/backward, the hashed
 // sentence encoder, CRF Viterbi decoding, GMM EM, LOF, the serve scoring
-// kernels, the AVX2 ANN distance kernel, and corpus generation throughput. Useful for tracking performance regressions; no
-// paper table corresponds to this binary.
+// kernels, the AVX2 ANN distance kernel, and corpus generation throughput.
+// Useful for tracking performance regressions; no paper table corresponds
+// to this binary.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <numeric>
@@ -136,28 +138,84 @@ BENCHMARK(BM_Lof)
 
 // --- Serving-path scoring kernels ------------------------------------
 //
-// The batched scorer's GEMM is tall-skinny: |stacked profiles| x dim x
-// |candidates|, with m in the tens, k the embedding dim, and n in the
-// thousands. The shapes below pin the acceptance geometry (16x32x4096)
-// plus the single-request row (1x32x4096).
+// serve_scan's scoring shape: 8 profile rows against 3,072 sorted ids
+// scattered over the top half (the new papers) of a 1e5 x 48 influence
+// slab, a different id set each call, scored in 128-wide tiles the way
+// FrozenScorer does, so the kernel's prefetch runs across tile boundaries.
 
-void BM_ServeGemm(benchmark::State& state) {
-  const size_t m = static_cast<size_t>(state.range(0));
-  const size_t k = 32;
-  const size_t n = static_cast<size_t>(state.range(1));
-  Rng rng(6);
-  std::vector<double> a(m * k), bt(k * n), c(m * n);
-  for (double& v : a) v = rng.Gaussian();
-  for (double& v : bt) v = rng.Gaussian();
+struct ScoreRowsWorkload {
+  static constexpr size_t kRows = 100000, kDim = 48, kProfileRows = 8;
+  static constexpr size_t kCandidates = 3072, kIdSets = 16, kTile = 128;
+  std::vector<double> slab;
+  std::vector<double> packed;  // transposed profile, ServeProfileStride rows
+  std::vector<std::vector<int32_t>> id_sets;
+};
+
+const ScoreRowsWorkload& ServeScanScoreRows() {
+  static const ScoreRowsWorkload* const workload = [] {
+    auto* w = new ScoreRowsWorkload;
+    using W = ScoreRowsWorkload;
+    Rng rng(6);
+    w->slab.resize(W::kRows * W::kDim);
+    for (double& v : w->slab) v = rng.Gaussian();
+    const size_t stride = la::ServeProfileStride(W::kProfileRows);
+    w->packed.assign(W::kDim * stride, 0.0);
+    for (size_t p = 0; p < W::kProfileRows; ++p)
+      for (size_t d = 0; d < W::kDim; ++d)
+        w->packed[d * stride + p] = rng.Gaussian();
+    std::vector<int32_t> pool(W::kRows / 2);
+    std::iota(pool.begin(), pool.end(), static_cast<int32_t>(W::kRows / 2));
+    for (size_t s = 0; s < W::kIdSets; ++s) {
+      for (size_t i = 0; i < W::kCandidates; ++i)
+        std::swap(pool[i], pool[i + static_cast<size_t>(
+                                        rng.UniformInt(pool.size() - i))]);
+      std::vector<int32_t> ids(pool.begin(), pool.begin() + W::kCandidates);
+      std::sort(ids.begin(), ids.end());
+      w->id_sets.push_back(std::move(ids));
+    }
+    return w;
+  }();
+  return *workload;
+}
+
+using ScoreRowsFn = void (*)(const double*, size_t, const double*, size_t,
+                             const int32_t*, size_t, size_t, double*, size_t);
+
+void RunScoreRows(benchmark::State& state, ScoreRowsFn kernel) {
+  using W = ScoreRowsWorkload;
+  const W& w = ServeScanScoreRows();
+  std::vector<double> logits(W::kProfileRows * W::kTile);
+  size_t call = 0;
   for (auto _ : state) {
-    la::ServeGemm(a.data(), k, bt.data(), n, c.data(), n, m, k, n);
-    benchmark::DoNotOptimize(c.data());
+    const std::vector<int32_t>& ids = w.id_sets[call++ % W::kIdSets];
+    for (size_t j0 = 0; j0 < ids.size(); j0 += W::kTile) {
+      const size_t tw = std::min(W::kTile, ids.size() - j0);
+      kernel(w.packed.data(), W::kProfileRows, w.slab.data(), W::kDim,
+             ids.data() + j0, tw, ids.size() - j0, logits.data(), tw);
+    }
+    benchmark::DoNotOptimize(logits.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(m * k * n));
+                          static_cast<int64_t>(W::kProfileRows *
+                                               W::kCandidates));
 }
-BENCHMARK(BM_ServeGemm)->Args({1, 4096})->Args({16, 4096});
+
+void BM_ServeScoreRows(benchmark::State& state) {
+  RunScoreRows(state, &la::ServeScoreRows);
+}
+BENCHMARK(BM_ServeScoreRows);
+
+/// The AVX2 kernel, timed directly: every AVX-512 host dispatches past it,
+/// so on those hosts this is the only run it gets.
+void BM_ServeScoreRowsAvx2(benchmark::State& state) {
+  if (!la::internal::ServeKernelAvx2Available()) {
+    state.SkipWithError("AVX2 serve kernel not available on this host");
+    return;
+  }
+  RunScoreRows(state, &la::internal::ServeScoreRowsAvx2);
+}
+BENCHMARK(BM_ServeScoreRowsAvx2);
 
 /// A synthetic frozen model sized like a serving snapshot: `papers`
 /// interest/influence rows of width `dim`, deterministic fill.
@@ -169,10 +227,10 @@ serve::FrozenScorer SyntheticScorer(size_t papers, size_t dim) {
   return serve::FrozenScorer(std::move(data));
 }
 
-/// Full batched pipeline (gather -> GEMM -> fused sigmoid/mean epilogue)
-/// for one 16-paper profile against all candidates; items/s counts scored
-/// candidates. The first call outside the timed loop warms the
-/// thread-local scratch so the steady-state loop is allocation-free.
+/// Full batched pipeline (pack -> scoring kernel -> fused sigmoid/mean
+/// epilogue) for one 16-paper profile against all candidates; items/s
+/// counts scored candidates. The first call outside the timed loop warms
+/// the thread-local scratch so the steady-state loop is allocation-free.
 void BM_ServeScoreBatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   serve::FrozenScorer scorer = SyntheticScorer(n, 32);
@@ -326,10 +384,6 @@ int main(int argc, char** argv) {
   if (t_gmm > 0.0) report.AddScalar("items_per_s.gmm_fit", 300.0 * 1e9 / t_gmm);
   const double t_lof = time_of("bm_lof_600_0");
   if (t_lof > 0.0) report.AddScalar("items_per_s.lof_n600", 600.0 * 1e9 / t_lof);
-  const double t_sg = time_of("bm_servegemm_16_4096");
-  if (t_sg > 0.0)
-    report.AddScalar("gflops.serve_gemm_16x32x4096",
-                     2.0 * 16.0 * 32.0 * 4096.0 / t_sg);
   const double t_sb = time_of("bm_servescorebatch_4096");
   if (t_sb > 0.0)
     report.AddScalar("items_per_s.serve_score_batch_4096", 4096.0 * 1e9 / t_sb);

@@ -8,26 +8,30 @@ namespace subrec::la {
 
 namespace internal {
 
-/// The serving-path GEMM: the same textual kernel as la/gemm.cc
-/// (la/gemm_kernel.h), but compiled WITHOUT -mfma and with
-/// -ffp-contract=off in every serve TU. Training wants FMA throughput;
-/// serving wants bit-equality against the scalar per-pair oracle
-/// (la::Dot), whose multiply and add round separately — a fused
-/// multiply-add rounds once and produces different low bits. Without
-/// contraction every C(i,j) element accumulates its k products as a
-/// separate multiply then add, in ascending-k order: exactly la::Dot's
+/// The serve scoring kernel (la/serve_rows_kernel.h), one copy per serve
+/// TU, each compiled WITHOUT -mfma and with -ffp-contract=off. Training
+/// wants FMA throughput; serving wants bit-equality against the scalar
+/// per-pair oracle (la::Dot), whose multiply and add round separately — a
+/// fused multiply-add rounds once and produces different low bits. Without
+/// contraction every logit accumulates its k products as a separate
+/// multiply then add, in ascending-k order from +0.0: exactly la::Dot's
 /// sequence, so the batched logits match the pairwise logits bit for bit
 /// on every ISA. (-ffp-contract=off matters even without -mfma: -mavx512f
-/// alone enables FMA instructions and GCC contracts by default.)
-void ServeGemmRowBlockGeneric(const double* a, size_t lda, const double* b,
-                              size_t ldb, double* c, size_t ldc, size_t row0,
-                              size_t row_end, size_t k, size_t n);
-void ServeGemmRowBlockAvx2(const double* a, size_t lda, const double* b,
-                           size_t ldb, double* c, size_t ldc, size_t row0,
-                           size_t row_end, size_t k, size_t n);
-void ServeGemmRowBlockAvx512(const double* a, size_t lda, const double* b,
-                             size_t ldb, double* c, size_t ldc, size_t row0,
-                             size_t row_end, size_t k, size_t n);
+/// alone enables FMA instructions and GCC contracts by default.) The
+/// AVX-512 TU scores 8 candidates x 8 profile rows per block, the AVX2 TU
+/// 4 x 8, the generic TU one pair at a time.
+void ServeScoreRowsGeneric(const double* profile_t, size_t m,
+                           const double* slab, size_t k, const int32_t* ids,
+                           size_t count, size_t readable, double* logits,
+                           size_t ld);
+void ServeScoreRowsAvx2(const double* profile_t, size_t m,
+                        const double* slab, size_t k, const int32_t* ids,
+                        size_t count, size_t readable, double* logits,
+                        size_t ld);
+void ServeScoreRowsAvx512(const double* profile_t, size_t m,
+                          const double* slab, size_t k, const int32_t* ids,
+                          size_t count, size_t readable, double* logits,
+                          size_t ld);
 
 /// Fused scoring epilogue over one logit tile: for each column j,
 ///   out[j] = (sum over rows p ascending of ScoreSigmoid(logits[p][j]))
@@ -44,16 +48,6 @@ void ServeSigmoidMeanColumnsAvx2(const double* logits, size_t ld, size_t m,
 void ServeSigmoidMeanColumnsAvx512(const double* logits, size_t ld, size_t m,
                                    size_t n, double denom, double* out);
 
-/// Candidate gather (see ServeGatherTranspose below). The AVX2 TU copies
-/// blocks of 4 rows through an in-register transpose
-/// (la/transpose_kernel.h) and serves AVX-512 hosts too; the generic TU
-/// copies one double at a time.
-void ServeGatherTransposeGeneric(const double* slab, size_t k,
-                                 const int32_t* ids, size_t count,
-                                 double* bt);
-void ServeGatherTransposeAvx2(const double* slab, size_t k,
-                              const int32_t* ids, size_t count, double* bt);
-
 /// True when the AVX2 serve TU was compiled with -mavx2 AND the running
 /// CPU reports it (no FMA requirement: the serve kernels never fuse).
 bool ServeKernelAvx2Available();
@@ -63,12 +57,23 @@ bool ServeKernelAvx512Available();
 
 }  // namespace internal
 
-/// C (m x n, leading dim ldc) = A (m x k, lda) * B (k x n, ldb), zeroing C
-/// first. Row-major raw buffers; dispatches once per process to the widest
-/// serve kernel the CPU supports. Bit-exact against computing each C(i,j)
-/// as la::Dot of A's row i and B's column j, on every ISA.
-void ServeGemm(const double* a, size_t lda, const double* b, size_t ldb,
-               double* c, size_t ldc, size_t m, size_t k, size_t n);
+/// Row stride of the packed, transposed profile ServeScoreRows reads: m
+/// rounded up to a multiple of 8, the widest lane block any kernel uses.
+constexpr size_t ServeProfileStride(size_t m) { return (m + 7) / 8 * 8; }
+
+/// The serve scorer's logit block, read from the candidate rows in place:
+///   logits[p * ld + j] = la::Dot(profile row p, slab row ids[j])
+/// for p < m and j < count, bit for bit. `profile_t` holds the m profile
+/// rows transposed, profile_t[d * ServeProfileStride(m) + p], with every
+/// padding lane p >= m zero; `slab` is row-major with row width k. Only
+/// the m x count logits are written (ld >= count). Rows ids[count,
+/// readable) are prefetched but not scored, so a caller scoring one tile
+/// of a longer id list passes the whole rest of the list as `readable`.
+/// Dispatches once per process to the widest serve kernel the CPU
+/// supports; every kernel writes identical bits.
+void ServeScoreRows(const double* profile_t, size_t m, const double* slab,
+                    size_t k, const int32_t* ids, size_t count,
+                    size_t readable, double* logits, size_t ld);
 
 /// Scoring epilogue (see ServeSigmoidMeanColumns* above): column means of
 /// the sigmoid-squashed logit tile, profile rows accumulated in ascending
@@ -76,14 +81,6 @@ void ServeGemm(const double* a, size_t lda, const double* b, size_t ldb,
 /// multiply, to match the oracle). m == 0 writes zeros.
 void ServeSigmoidMeanColumns(const double* logits, size_t ld, size_t m,
                              size_t n, double denom, double* out);
-
-/// Gathers `count` rows of the row-major slab (row width k) into a
-/// transposed tile: bt[d * count + i] = slab[ids[i] * k + d]. Dispatched
-/// for speed only (the AVX2 kernel on AVX2 and AVX-512 hosts, the generic
-/// one elsewhere): the gather is pure data movement, so every kernel
-/// writes identical bits. k == 0 reads and writes nothing.
-void ServeGatherTranspose(const double* slab, size_t k, const int32_t* ids,
-                          size_t count, double* bt);
 
 }  // namespace subrec::la
 

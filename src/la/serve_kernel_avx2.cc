@@ -15,20 +15,18 @@
 
 #if (defined(__GNUC__) || defined(__clang__)) && defined(__AVX2__)
 
-#define SUBREC_GEMM_NS serve_avx2
-#include "la/gemm_kernel.h"  // NOLINT(build/include)
-#undef SUBREC_GEMM_NS
-
-#define SUBREC_TRANSPOSE_NS gather_avx2
-#include "la/transpose_kernel.h"  // NOLINT(build/include)
-#undef SUBREC_TRANSPOSE_NS
+#define SUBREC_SERVE_ROWS_NS serve_avx2
+#include "la/serve_rows_kernel.h"  // NOLINT(build/include)
+#undef SUBREC_SERVE_ROWS_NS
 
 namespace subrec::la::internal {
 
-void ServeGemmRowBlockAvx2(const double* a, size_t lda, const double* b,
-                           size_t ldb, double* c, size_t ldc, size_t row0,
-                           size_t row_end, size_t k, size_t n) {
-  serve_avx2::GemmRowBlock(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
+void ServeScoreRowsAvx2(const double* profile_t, size_t m,
+                        const double* slab, size_t k, const int32_t* ids,
+                        size_t count, size_t readable, double* logits,
+                        size_t ld) {
+  serve_avx2::ScoreRows(profile_t, m, slab, k, ids, count, readable, logits,
+                        ld);
 }
 
 void ServeSigmoidMeanColumnsAvx2(const double* logits, size_t ld, size_t m,
@@ -45,11 +43,6 @@ void ServeSigmoidMeanColumnsAvx2(const double* logits, size_t ld, size_t m,
   for (size_t j = 0; j < n; ++j) out[j] /= denom;
 }
 
-void ServeGatherTransposeAvx2(const double* slab, size_t k,
-                              const int32_t* ids, size_t count, double* bt) {
-  gather_avx2::GatherTranspose(slab, k, ids, count, bt);
-}
-
 bool ServeKernelAvx2Available() { return __builtin_cpu_supports("avx2"); }
 
 }  // namespace subrec::la::internal
@@ -58,20 +51,17 @@ bool ServeKernelAvx2Available() { return __builtin_cpu_supports("avx2"); }
 
 namespace subrec::la::internal {
 
-void ServeGemmRowBlockAvx2(const double* a, size_t lda, const double* b,
-                           size_t ldb, double* c, size_t ldc, size_t row0,
-                           size_t row_end, size_t k, size_t n) {
-  ServeGemmRowBlockGeneric(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
+void ServeScoreRowsAvx2(const double* profile_t, size_t m,
+                        const double* slab, size_t k, const int32_t* ids,
+                        size_t count, size_t readable, double* logits,
+                        size_t ld) {
+  ServeScoreRowsGeneric(profile_t, m, slab, k, ids, count, readable, logits,
+                        ld);
 }
 
 void ServeSigmoidMeanColumnsAvx2(const double* logits, size_t ld, size_t m,
                                  size_t n, double denom, double* out) {
   ServeSigmoidMeanColumnsGeneric(logits, ld, m, n, denom, out);
-}
-
-void ServeGatherTransposeAvx2(const double* slab, size_t k,
-                              const int32_t* ids, size_t count, double* bt) {
-  ServeGatherTransposeGeneric(slab, k, ids, count, bt);
 }
 
 bool ServeKernelAvx2Available() { return false; }

@@ -4,28 +4,31 @@
 // instructions and GCC's default contraction mode would fuse the kernel's
 // multiply-adds, silently breaking bit-equality with the scalar oracle.
 // With contraction off this TU is bit-identical to the AVX2 and generic
-// serve kernels; the 8-lane vectors only regroup tile columns. Anywhere
+// serve kernels; the 8-lane vectors only regroup profile rows. Anywhere
 // else it degrades to the AVX2 kernel (which itself degrades to generic)
 // and ServeKernelAvx512Available() reports false.
 
 #include "la/serve_kernel.h"
 
 #include <cstddef>
+#include <cstdint>
 
 #include "la/score_math.h"
 
 #if (defined(__GNUC__) || defined(__clang__)) && defined(__AVX512F__)
 
-#define SUBREC_GEMM_NS serve_avx512
-#include "la/gemm_kernel.h"  // NOLINT(build/include)
-#undef SUBREC_GEMM_NS
+#define SUBREC_SERVE_ROWS_NS serve_avx512
+#include "la/serve_rows_kernel.h"  // NOLINT(build/include)
+#undef SUBREC_SERVE_ROWS_NS
 
 namespace subrec::la::internal {
 
-void ServeGemmRowBlockAvx512(const double* a, size_t lda, const double* b,
-                             size_t ldb, double* c, size_t ldc, size_t row0,
-                             size_t row_end, size_t k, size_t n) {
-  serve_avx512::GemmRowBlock(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
+void ServeScoreRowsAvx512(const double* profile_t, size_t m,
+                          const double* slab, size_t k, const int32_t* ids,
+                          size_t count, size_t readable, double* logits,
+                          size_t ld) {
+  serve_avx512::ScoreRows(profile_t, m, slab, k, ids, count, readable,
+                          logits, ld);
 }
 
 void ServeSigmoidMeanColumnsAvx512(const double* logits, size_t ld, size_t m,
@@ -52,10 +55,11 @@ bool ServeKernelAvx512Available() {
 
 namespace subrec::la::internal {
 
-void ServeGemmRowBlockAvx512(const double* a, size_t lda, const double* b,
-                             size_t ldb, double* c, size_t ldc, size_t row0,
-                             size_t row_end, size_t k, size_t n) {
-  ServeGemmRowBlockAvx2(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
+void ServeScoreRowsAvx512(const double* profile_t, size_t m,
+                          const double* slab, size_t k, const int32_t* ids,
+                          size_t count, size_t readable, double* logits,
+                          size_t ld) {
+  ServeScoreRowsAvx2(profile_t, m, slab, k, ids, count, readable, logits, ld);
 }
 
 void ServeSigmoidMeanColumnsAvx512(const double* logits, size_t ld, size_t m,

@@ -2,17 +2,16 @@
 #define SUBREC_LA_TRANSPOSE_KERNEL_H_
 
 // Textual lane-transpose kernels shared by the per-ISA ANN distance TUs
-// (through la/ann_kernel_impl.h) and the generic and AVX2 serve TUs (the
-// candidate gather), the same scheme as la/gemm_kernel.h. Each includer defines
-// SUBREC_TRANSPOSE_NS to a unique namespace first, so every TU compiles
-// its own copy under its own ISA flags and no inline definition is shared
-// across TUs built for different ISAs.
+// (through la/ann_kernel_impl.h) and the serve TUs (through
+// la/serve_rows_kernel.h), the same scheme as la/gemm_kernel.h. Each
+// includer defines SUBREC_TRANSPOSE_NS to a unique namespace first, so
+// every TU compiles its own copy under its own ISA flags and no inline
+// definition is shared across TUs built for different ISAs.
 //
 // Everything here is a lane permutation or a copy — no arithmetic, so no
 // rounding anywhere, and every ISA moves identical bits.
 
 #include <cstddef>
-#include <cstdint>
 
 #ifndef SUBREC_TRANSPOSE_NS
 #error "define SUBREC_TRANSPOSE_NS before including la/transpose_kernel.h"
@@ -53,9 +52,12 @@ typedef double Vec8 __attribute__((vector_size(64)));
 typedef double Vec8Unaligned
     __attribute__((vector_size(64), aligned(8), may_alias));
 
-/// One unaligned vmovupd of p[0..7].
+/// One unaligned vmovupd of p[0..7], and its store twin.
 inline void LoadUnaligned(const double* p, Vec8* out) {
   *out = *reinterpret_cast<const Vec8Unaligned*>(p);
+}
+inline void StoreUnaligned(const Vec8& v, double* p) {
+  *reinterpret_cast<Vec8Unaligned*>(p) = v;
 }
 
 /// 8x8 transpose: three butterfly stages, 24 shuffles.
@@ -92,60 +94,22 @@ inline void Transpose(const Vec8* r, Vec8* t) {
 /// of Vec4 — how <immintrin.h> spells __m256d_u — so each is one vmovupd.
 /// (GCC 12's generic tuning expands a 32-byte __builtin_memcpy into two
 /// 16-byte moves through the stack, and a 32-byte reload of that stack
-/// slot then stalls on store forwarding: the gather written with memcpy
-/// ran slower than the scalar loop.) Name a twin directly at each access:
-/// passed as a template argument, GCC drops its attributes and the access
-/// silently becomes an aligned one.
+/// slot then stalls on store forwarding: a candidate gather written with
+/// memcpy ran slower than its scalar loop.) Name a twin directly at each
+/// access: passed as a template argument, GCC drops its attributes and the
+/// access silently becomes an aligned one.
 typedef double Vec4Unaligned
     __attribute__((vector_size(32), aligned(8), may_alias));
 
-/// One unaligned vmovupd of p[0..3].
+/// One unaligned vmovupd of p[0..3], and its store twin.
 inline void LoadUnaligned(const double* p, Vec4* out) {
   *out = *reinterpret_cast<const Vec4Unaligned*>(p);
 }
-
-/// Copies 4 rows into 4 adjacent columns of a transposed tile with leading
-/// dimension ld: bt[d * ld + l] = rows[l][d]. Per 4 dims: one contiguous
-/// load per row, one in-register transpose, one contiguous store per
-/// output row. A scalar continuation covers the k % 4 tail.
-inline void GatherBlock(const double* const* rows, size_t k, double* bt,
-                        size_t ld) {
-  size_t d = 0;
-  for (; d + 4 <= k; d += 4) {
-    Vec4 r[4];
-    for (size_t l = 0; l < 4; ++l) LoadUnaligned(rows[l] + d, &r[l]);
-    Vec4 t[4];
-    Transpose(r, t);
-    for (size_t j = 0; j < 4; ++j)
-      *reinterpret_cast<Vec4Unaligned*>(bt + (d + j) * ld) = t[j];
-  }
-  for (; d < k; ++d)
-    for (size_t l = 0; l < 4; ++l) bt[d * ld + l] = rows[l][d];
+inline void StoreUnaligned(const Vec4& v, double* p) {
+  *reinterpret_cast<Vec4Unaligned*>(p) = v;
 }
 
 #endif  // SUBREC_TRANSPOSE_VECTOR_OK
-
-/// bt[d * count + i] = slab[ids[i] * k + d]: the serve scorer's candidate
-/// gather. Candidates go in blocks of 4, then one at a time; k == 0
-/// touches no memory. (An 8-wide AVX-512 block did not beat this one on
-/// any serve workload, so every vector host runs the 4-wide block.)
-inline void GatherTranspose(const double* slab, size_t k, const int32_t* ids,
-                            size_t count, double* bt) {
-  if (k == 0) return;
-  size_t i = 0;
-#if SUBREC_TRANSPOSE_VECTOR_OK
-  for (; i + 4 <= count; i += 4) {
-    const double* rows[4];
-    for (size_t l = 0; l < 4; ++l)
-      rows[l] = slab + static_cast<size_t>(ids[i + l]) * k;
-    GatherBlock(rows, k, bt + i, count);
-  }
-#endif
-  for (; i < count; ++i) {
-    const double* row = slab + static_cast<size_t>(ids[i]) * k;
-    for (size_t d = 0; d < k; ++d) bt[d * count + i] = row[d];
-  }
-}
 
 }  // namespace SUBREC_TRANSPOSE_NS
 }  // namespace subrec::la::internal

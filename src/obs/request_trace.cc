@@ -18,8 +18,6 @@ const char* StageName(Stage stage) {
       return "select";
     case Stage::kCacheInsert:
       return "cache_insert";
-    case Stage::kScoreGather:
-      return "score_gather";
     case Stage::kScoreGemm:
       return "score_gemm";
     case Stage::kScoreEpilogue:

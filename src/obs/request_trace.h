@@ -9,9 +9,8 @@ namespace subrec::obs {
 
 class JsonWriter;
 
-/// Stages of one online recommendation request, in hot-path order. The
-/// indices are stable (they are serialized into reports), so new stages
-/// append before kNumStages.
+/// Stages of one online recommendation request, in hot-path order.
+/// Reports, traces and statusz name a stage by StageName, never by index.
 enum class Stage : int {
   /// Time between SubmitBatch enqueue and the worker picking the request up.
   kQueue = 0,
@@ -26,9 +25,8 @@ enum class Stage : int {
   /// Result-cache insert after a miss.
   kCacheInsert,
   /// Batched-scorer breakdown (sub-stages of kScore, recorded only on the
-  /// gemm path): candidate-row gather/transpose, the blocked GEMM itself,
-  /// and the fused sigmoid-mean epilogue.
-  kScoreGather,
+  /// gemm path): the scoring kernel over candidate rows in place, and the
+  /// fused sigmoid-mean epilogue.
   kScoreGemm,
   kScoreEpilogue,
   kNumStages,

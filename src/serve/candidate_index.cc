@@ -107,11 +107,11 @@ ListKey KeyForProfile(const SnapshotData& data,
 /// Builds the filtered list of `key` into `out` (ascending paper ids) and
 /// returns the branch that produced it. kFallbackPool leaves `out` empty:
 /// every filter came back empty and the caller serves the full pool.
-CandidateSource BuildFilteredList(
-    const SnapshotData& data, const CandidateIndexOptions& options,
-    const ListKey& key, const std::vector<int32_t>& pool,
-    const std::vector<std::vector<int32_t>>& by_topic,
-    std::vector<int32_t>* out) {
+CandidateSource BuildFilteredList(const SnapshotData& data,
+                                  const CandidateIndexOptions& options,
+                                  const ListKey& key,
+                                  const CandidateIndex& index,
+                                  std::vector<int32_t>* out) {
   auto discipline_ok = [&](int32_t p) {
     return !options.filter_disciplines ||
            std::binary_search(key.disciplines.begin(), key.disciplines.end(),
@@ -121,14 +121,13 @@ CandidateSource BuildFilteredList(
   // one topic, so distinct topics' postings are disjoint; each is already
   // sorted and year-windowed, so the union is a plain merge.
   for (int32_t t : key.topics) {
-    if (static_cast<size_t>(t) >= by_topic.size()) continue;
     const auto mid = static_cast<std::ptrdiff_t>(out->size());
-    for (int32_t p : by_topic[static_cast<size_t>(t)])
+    for (int32_t p : index.PapersForTopic(t))
       if (discipline_ok(p)) out->push_back(p);
     std::inplace_merge(out->begin(), out->begin() + mid, out->end());
   }
   if (!out->empty()) return CandidateSource::kTopicPruned;
-  for (int32_t p : pool)
+  for (int32_t p : index.AllNewPapers())
     if (discipline_ok(p)) out->push_back(p);
   if (!out->empty()) return CandidateSource::kDisciplineFiltered;
   // A profile whose disciplines vanished from the window still needs
@@ -149,17 +148,21 @@ CandidateIndex::CandidateIndex(const SnapshotData& data,
       << "kAnnEmbedding retrieval requested without an ann::Index";
 
   std::vector<int32_t> pool;
-  int32_t max_topic = -1;
+  std::vector<std::pair<int32_t, int32_t>> topic_papers;
   for (size_t p = 0; p < n; ++p) {
     if (data.years[p] > options.min_year && data.years[p] <= options.max_year) {
       pool.push_back(static_cast<int32_t>(p));
-      max_topic = std::max(max_topic, data.topics[p]);
+      if (data.topics[p] >= 0)
+        topic_papers.emplace_back(data.topics[p], static_cast<int32_t>(p));
     }
   }
-  by_topic_.resize(static_cast<size_t>(max_topic + 1));
-  for (int32_t p : pool) {
-    const int32_t t = data.topics[static_cast<size_t>(p)];
-    if (t >= 0) by_topic_[static_cast<size_t>(t)].push_back(p);
+  // Topic ids come from the snapshot unbounded, so they only ever key a
+  // sorted table, never size one.
+  std::sort(topic_papers.begin(), topic_papers.end());
+  for (const auto& [topic, paper] : topic_papers) {
+    if (by_topic_.empty() || by_topic_.back().topic != topic)
+      by_topic_.push_back({topic, {}});
+    by_topic_.back().papers.push_back(paper);
   }
   lists_.push_back(std::move(pool));
 
@@ -224,8 +227,8 @@ CandidateIndex::CandidateIndex(const SnapshotData& data,
         list_of_key.try_emplace(KeyForProfile(data, options, profile));
     if (inserted) {
       std::vector<int32_t> list;
-      const CandidateSource source = BuildFilteredList(
-          data, options, it->first, lists_[0], by_topic_, &list);
+      const CandidateSource source =
+          BuildFilteredList(data, options, it->first, *this, &list);
       uint32_t index = 0;  // the fallback shares the full pool
       if (source != CandidateSource::kFallbackPool) {
         index = static_cast<uint32_t>(lists_.size());
@@ -253,9 +256,11 @@ CandidateSource CandidateIndex::SourceFor(int32_t user) const {
 
 const std::vector<int32_t>& CandidateIndex::PapersForTopic(
     int32_t topic) const {
-  if (topic < 0 || static_cast<size_t>(topic) >= by_topic_.size())
-    return empty_;
-  return by_topic_[static_cast<size_t>(topic)];
+  const auto it = std::lower_bound(
+      by_topic_.begin(), by_topic_.end(), topic,
+      [](const TopicPostings& e, int32_t t) { return e.topic < t; });
+  if (it == by_topic_.end() || it->topic != topic) return empty_;
+  return it->papers;
 }
 
 }  // namespace subrec::serve

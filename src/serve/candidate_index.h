@@ -114,8 +114,14 @@ class CandidateIndex {
   /// it.
   std::vector<uint32_t> per_user_list_;
   std::vector<CandidateSource> per_user_source_;
-  /// In-window new papers per topic id, up to the largest such topic.
-  std::vector<std::vector<int32_t>> by_topic_;
+  /// One distinct in-window topic id and its in-window new papers.
+  struct TopicPostings {
+    int32_t topic = -1;
+    std::vector<int32_t> papers;
+  };
+  /// Postings of every distinct in-window topic, ascending by topic and
+  /// looked up by binary search: sized by the pool, whatever the ids.
+  std::vector<TopicPostings> by_topic_;
   std::vector<int32_t> empty_;
 };
 

@@ -14,8 +14,8 @@ namespace {
 /// Packs the live model's per-paper nested vectors into one contiguous
 /// row-major slab. Freeze is the boundary where the training-side
 /// representation (ragged-capable, per-row allocations) becomes the
-/// serving-side one (a single slab GEMM can gather from); empty input
-/// packs to the 0x0 matrix.
+/// serving-side one (a single slab the scoring kernel reads rows from);
+/// empty input packs to the 0x0 matrix.
 // SUBREC_NESTED_VECTOR_OK(the training-side input type, consumed here)
 la::Matrix PackRows(std::vector<std::vector<double>>&& rows) {
   la::Matrix m;

@@ -1,7 +1,6 @@
 #include "serve/frozen_scorer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -14,25 +13,23 @@
 namespace subrec::serve {
 namespace {
 
-/// Candidate-tile bounds for the batched path. The transposed influence
-/// tile (dim x tile doubles) is the block every GEMM row streams over, so
-/// it must stay L1-resident: at 128 columns that holds only up to dim 32
-/// (128 * 32 * 8 = 32 KiB), and wider embeddings thrash — measured 2.4x
-/// slower at dim 50 with a fixed 128-wide tile. ScoreTileWidth narrows
-/// the tile as the dim grows instead; the floor keeps the vectorized
-/// epilogue's rows long enough to amortize its exp-table gathers.
+/// Candidate-tile bounds for the batched path. The kernel reads candidate
+/// rows in place, so the tile bounds only the logits block (stacked profile
+/// rows x tile doubles) that the kernel writes and the epilogue reads back:
+/// ScoreTileWidth keeps it within kLogitsTileBytes, L1-sized. The floor
+/// keeps the vectorized epilogue's rows long enough to amortize its
+/// exp-table gathers.
 constexpr size_t kScoreTileMax = 128;
 constexpr size_t kScoreTileMin = 32;
-constexpr size_t kBtTileBytes = 32 * 1024;
+constexpr size_t kLogitsTileBytes = 32 * 1024;
 
 /// Widest multiple-of-16 tile (clamped to [kScoreTileMin, kScoreTileMax])
-/// whose k x tile transposed influence block fits in kBtTileBytes. Tiling
-/// splits only the candidate axis — every column's dot product and
-/// epilogue order is unchanged — so the width is purely a bandwidth
+/// whose rows x tile logits block fits in kLogitsTileBytes. Tiling splits
+/// only the candidate axis — every logit's dot product and every column's
+/// epilogue order is unchanged — so the width is purely a locality
 /// decision and any value produces bit-identical scores.
-size_t ScoreTileWidth(size_t k) {
-  if (k == 0) return kScoreTileMax;
-  const size_t fit = kBtTileBytes / (k * sizeof(double)) / 16 * 16;
+size_t ScoreTileWidth(size_t rows) {
+  const size_t fit = kLogitsTileBytes / (rows * sizeof(double)) / 16 * 16;
   return std::clamp(fit, kScoreTileMin, kScoreTileMax);
 }
 
@@ -41,9 +38,8 @@ size_t ScoreTileWidth(size_t k) {
 /// steady-state scoring loop performs zero heap allocations — asserted by
 /// the counting-allocator probe in the observability tests.
 struct ServeScratch {
-  std::vector<double> packed;  // stacked profile interest rows, row-major
-  std::vector<double> bt;      // transposed candidate influence tile
-  std::vector<double> logits;  // GEMM output block
+  std::vector<double> packed;  // stacked profile interest rows, transposed
+  std::vector<double> logits;  // kernel output block, one tile wide
   std::vector<double> scores;  // per-request scores (TopN convenience path)
 };
 
@@ -159,34 +155,32 @@ void FrozenScorer::ScoreStackedCore(const StackedRequest* requests,
   if (n == 0 || m_total == 0) return;
   // NOTE: k == 0 is NOT an early-out. The oracle scores a degenerate
   // zero-dim model as sigmoid(0) = 0.5 per pair, and the pipeline below
-  // reproduces that (empty GEMM leaves the zeroed logits, the epilogue
-  // maps them through the same sigmoid and mean).
+  // reproduces that (the kernel writes +0.0 logits, the epilogue maps them
+  // through the same sigmoid and mean).
 
-  const size_t tile = ScoreTileWidth(k);
+  const size_t tile = ScoreTileWidth(m_total);
+  const size_t stride = la::ServeProfileStride(m_total);
   ServeScratch& s = Scratch();
-  Ensure(&s.packed, m_total * k);
-  Ensure(&s.bt, k * tile);
+  Ensure(&s.packed, k * stride);
   Ensure(&s.logits, m_total * tile);
 
-  // Pack every profile's interest rows into one contiguous A block, in
-  // request order then ascending profile order — the epilogue's per-segment
-  // mean walks rows in exactly the order the oracle walks the profile. A
-  // zero-dim model has no rows to copy (and null row pointers, which
-  // memcpy may not take even for zero bytes).
+  // Pack every profile's interest rows into one transposed block, column
+  // p = stacked row p, in request order then ascending profile order — the
+  // epilogue's per-segment mean walks rows in exactly the order the oracle
+  // walks the profile. The padding columns up to the stride are zero.
   double* packed = s.packed.data();
   size_t row = 0;
   for (size_t r = 0; r < count; ++r) {
     for (int32_t pid : *requests[r].profile) {
       SUBREC_DCHECK_GE(pid, 0);
       SUBREC_DCHECK_LT(static_cast<size_t>(pid), interest_.rows());
-      if (k > 0) {
-        std::memcpy(packed + row * k,
-                    interest_.row_data(static_cast<size_t>(pid)),
-                    k * sizeof(double));
-      }
+      const double* v = interest_.row_data(static_cast<size_t>(pid));
+      for (size_t d = 0; d < k; ++d) packed[d * stride + row] = v[d];
       ++row;
     }
   }
+  for (size_t d = 0; d < k; ++d)
+    for (size_t p = m_total; p < stride; ++p) packed[d * stride + p] = 0.0;
 
 #ifndef NDEBUG
   for (int32_t c : candidates) {
@@ -199,12 +193,12 @@ void FrozenScorer::ScoreStackedCore(const StackedRequest* requests,
   for (size_t j0 = 0; j0 < n; j0 += tile) {
     const size_t tw = std::min(tile, n - j0);
     const int64_t t0 = timed ? obs::NowNs() : 0;
-    la::ServeGatherTranspose(influence_.data(), k, candidates.data() + j0, tw,
-                             s.bt.data());
+    // The rest of the list past this tile is readable: the kernel
+    // prefetches across the tile boundary.
+    la::ServeScoreRows(packed, m_total, influence_.data(), k,
+                       candidates.data() + j0, tw, n - j0, s.logits.data(),
+                       tw);
     const int64_t t1 = timed ? obs::NowNs() : 0;
-    la::ServeGemm(packed, k, s.bt.data(), tw, s.logits.data(), tw, m_total, k,
-                  tw);
-    const int64_t t2 = timed ? obs::NowNs() : 0;
     size_t row0 = 0;
     for (size_t r = 0; r < count; ++r) {
       const size_t m = requests[r].profile->size();
@@ -216,10 +210,9 @@ void FrozenScorer::ScoreStackedCore(const StackedRequest* requests,
       row0 += m;
     }
     if (timed) {
-      const int64_t t3 = obs::NowNs();
-      stats->gather_ns += t1 - t0;
-      stats->gemm_ns += t2 - t1;
-      stats->epilogue_ns += t3 - t2;
+      const int64_t t2 = obs::NowNs();
+      stats->gemm_ns += t1 - t0;
+      stats->epilogue_ns += t2 - t1;
     }
   }
 }
@@ -302,8 +295,6 @@ void FrozenScorer::TopNInto(const std::vector<int32_t>& profile,
       ScoreBatchInto(profile, candidates, &s.scores,
                      trace != nullptr ? &stats : nullptr);
       if (trace != nullptr) {
-        trace->stage_ns[static_cast<int>(obs::Stage::kScoreGather)] +=
-            stats.gather_ns;
         trace->stage_ns[static_cast<int>(obs::Stage::kScoreGemm)] +=
             stats.gemm_ns;
         trace->stage_ns[static_cast<int>(obs::Stage::kScoreEpilogue)] +=

@@ -19,8 +19,9 @@ struct ScoredPaper {
 
 /// Which scoring engine ranks a request. Both produce bit-identical
 /// scores (asserted by tests on every preset); they differ only in cost:
-/// kGemm, what RecommendService serves with, batches each request into
-/// blocked GEMM tiles with a fused sigmoid-mean epilogue; kPairwise walks
+/// kGemm, what RecommendService serves with, scores each request as one
+/// dense profile x candidate product (la::ServeScoreRows over candidate
+/// tiles) with a fused sigmoid-mean epilogue; kPairwise walks
 /// (profile x candidate) pairs one la::Dot at a time and is the per-pair
 /// reference ranking the tests compare against.
 enum class ScorerMode : int {
@@ -29,8 +30,10 @@ enum class ScorerMode : int {
 };
 
 /// Wall-time attribution of one batched scoring pass, accumulated across
-/// its tiles: candidate-row gather, GEMM, sigmoid-mean epilogue.
+/// its tiles: the scoring kernel (gemm_ns) and the sigmoid-mean epilogue.
 struct ScoreBatchStats {
+  /// Always 0: the kernel reads candidate rows in place, so there is no
+  /// gather stage any more. Kept because benchmark reports still read it.
   int64_t gather_ns = 0;
   int64_t gemm_ns = 0;
   int64_t epilogue_ns = 0;
@@ -41,9 +44,9 @@ struct ScoreBatchStats {
 /// reproduce the live model's post-fit math operation-for-operation
 /// (sigmoid of the interest/influence dot product, mean over the profile),
 /// so frozen top-N lists are bit-exact against NPRec::Score on the same
-/// candidates. ScoreBatch reorganizes the same arithmetic into blocked
-/// GEMM tiles without changing any element's operation order, so the
-/// batched path is bit-exact against Score in turn. Thread-safe by
+/// candidates. ScoreBatch reorganizes the same arithmetic into one dense
+/// product per candidate tile without changing any element's operation
+/// order, so the batched path is bit-exact against Score in turn. Thread-safe by
 /// construction: all state is const after build; scratch is per-thread.
 class FrozenScorer {
  public:
@@ -70,10 +73,10 @@ class FrozenScorer {
                             const std::vector<int32_t>& candidates) const;
 
   /// Score via the batched engine: the profile's interest rows are packed
-  /// into one block, candidate influence rows are gathered into transposed
-  /// tiles, one blocked GEMM per tile produces the logits, and a fused
-  /// sigmoid + ascending-profile-order column-mean epilogue reduces them.
-  /// Bit-exact against Score().
+  /// once into a transposed block, la::ServeScoreRows multiplies it with
+  /// each tile's candidate influence rows where they live in the slab, and
+  /// a fused sigmoid + ascending-profile-order column-mean epilogue
+  /// reduces the tile's logits. Bit-exact against Score().
   std::vector<double> ScoreBatch(const std::vector<int32_t>& profile,
                                  const std::vector<int32_t>& candidates) const;
 
@@ -95,8 +98,8 @@ class FrozenScorer {
   };
 
   /// Scores several profiles against ONE shared candidate list in a
-  /// single pass: all profiles stack into one GEMM A-block, each
-  /// candidate tile is gathered once and multiplied once, and the
+  /// single pass: all profiles stack into one packed block, each
+  /// candidate row is read once per tile for all of them, and the
   /// epilogue reduces each user's row segment independently (ascending
   /// profile order within the segment). Each user's scores are bit-exact
   /// against their solo Score()/ScoreBatch(). This is the coalesced path
@@ -113,8 +116,8 @@ class FrozenScorer {
                                 int n) const;
 
   /// Same ranking, attributing scoring and selection wall time to the
-  /// trace's kScore / kSelect stages (plus the kScoreGather/kScoreGemm/
-  /// kScoreEpilogue breakdown on the gemm path). `trace` may be null.
+  /// trace's kScore / kSelect stages (plus the kScoreGemm/kScoreEpilogue
+  /// breakdown on the gemm path). `trace` may be null.
   std::vector<ScoredPaper> TopN(const std::vector<int32_t>& profile,
                                 const std::vector<int32_t>& candidates, int n,
                                 obs::RequestTrace* trace,

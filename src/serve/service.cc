@@ -293,8 +293,6 @@ std::vector<RecResponse> RecommendService::RunChunk(
     const std::vector<RecRequest>& requests, int64_t submit_ns) {
   static obs::Counter* const stacked_passes =
       obs::MetricsRegistry::Global().GetCounter("serve.score.stacked_passes");
-  static obs::Counter* const stacked_gather_ns =
-      obs::MetricsRegistry::Global().GetCounter("serve.score.gather_ns");
   static obs::Counter* const stacked_gemm_ns =
       obs::MetricsRegistry::Global().GetCounter("serve.score.gemm_ns");
   static obs::Counter* const stacked_epilogue_ns =
@@ -314,12 +312,12 @@ std::vector<RecResponse> RecommendService::RunChunk(
     // Coalescing pre-pass: group the chunk's valid requests by candidate
     // list (CandidatesFor returns a reference into the immutable state, so
     // the address is the identity) and score each group of two or more in
-    // one stacked GEMM — every gathered influence tile is then multiplied
-    // against all of the group's profiles at once. A member that later
-    // turns out to be a cache hit wastes its slice of the pass; that is a
-    // perf tradeoff, never a correctness one, since TopNOnState still
-    // probes the cache first and prescored scores are bit-identical to
-    // what the solo path would have computed.
+    // one stacked pass — every candidate influence row is then read once
+    // for all of the group's profiles. A member that later turns out to be
+    // a cache hit wastes its slice of the pass; that is a perf tradeoff,
+    // never a correctness one, since TopNOnState still probes the cache
+    // first and prescored scores are bit-identical to what the solo path
+    // would have computed.
     struct Group {
       const std::vector<int32_t>* candidates = nullptr;
       std::vector<size_t> members;
@@ -357,7 +355,6 @@ std::vector<RecResponse> RecommendService::RunChunk(
       state->scorer.ScoreStackedInto(stacked, *g.candidates, &stats);
       for (size_t i : g.members) prescored[i] = &scores[i];
       stacked_passes->Increment();
-      stacked_gather_ns->Increment(stats.gather_ns);
       stacked_gemm_ns->Increment(stats.gemm_ns);
       stacked_epilogue_ns->Increment(stats.epilogue_ns);
     }

@@ -54,7 +54,7 @@ struct ServeOptions {
   size_t cache_shards = 16;
   /// Requests grouped into one pool task by SubmitBatch/TopNBatch. A chunk
   /// coalesces its requests that share a candidate list into one stacked
-  /// GEMM.
+  /// scoring pass.
   size_t batch_size = 8;
   CandidateIndexOptions index;
   /// Serving-path observability (rolling windows, flight recorder, stage
@@ -148,7 +148,7 @@ class RecommendService {
 
   /// Executes one SubmitBatch chunk: a coalescing pre-pass stacks the
   /// chunk's cache-key-distinct requests that share a candidate list into
-  /// one ScoreStackedInto GEMM, then every request runs the normal path
+  /// one ScoreStackedInto pass, then every request runs the normal path
   /// with its prescored slice.
   std::vector<RecResponse> RunChunk(const std::vector<RecRequest>& requests,
                                     int64_t submit_ns);

@@ -23,7 +23,7 @@ struct SnapshotData {
   /// Per-paper vectors as contiguous row-major slabs (one row per paper);
   /// score(p,q) = sigmoid(<interest row p, influence row q>) exactly as
   /// the live model computes it. Contiguous storage is what lets the
-  /// frozen scorer gather rows straight into GEMM blocks, and lets the
+  /// frozen scorer read candidate rows in place by id, and lets the
   /// snapshot decoder fill each slab with a single allocation instead of
   /// one vector per row.
   la::Matrix interest;

@@ -371,78 +371,73 @@ TEST(Dot, PointerOverloadIsTheVectorOverload) {
   EXPECT_EQ(Dot(a.data(), b.data(), 0), 0.0);
 }
 
-TEST(ServeKernel, GatherTransposeLaysRowsOutAsColumns) {
-  // bt[d * count + i] = slab[ids[i] * k + d], bit for bit. Dims sweep the
-  // 4-wide transpose block and its scalar tail; counts sweep the candidate
-  // lane blocks (4, then one at a time). Ids are scattered, repeat, and
-  // include the slab's last row, so an over-wide load would run off the
-  // end under ASan. Every kernel this host can run is checked, the
-  // dispatched one first; a guard band past the tile must stay untouched.
-  using Gather = void (*)(const double*, size_t, const int32_t*, size_t,
-                          double*);
-  std::vector<std::pair<const char*, Gather>> kernels = {
-      {"dispatched", ServeGatherTranspose},
-      {"generic", internal::ServeGatherTransposeGeneric}};
+TEST(ServeKernel, GemmIsBitIdenticalToScalarDot) {
+  // The whole batched-scorer determinism argument rests on this: every
+  // logit ServeScoreRows writes must be EXACTLY la::Dot of its profile row
+  // and candidate row, for every kernel this host can run (the dispatched
+  // one first, then each directly). Dims sweep the scalar loops, profile
+  // rows sweep the 4- and 8-lane halves and the 8-row blocks of stacked
+  // requests, counts sweep the 4- and 8-candidate blocks and their scalar
+  // tails. Ids are scattered, repeat, and include the slab's last row, and
+  // the id list runs past `count` (prefetched, not scored), so an
+  // over-wide read runs off the end under ASan. Nothing outside the m x
+  // count logits may be written: neither the gap column before the next
+  // row (ld = count + 1) nor a guard band that covers every padding row.
+  using Kernel = void (*)(const double*, size_t, const double*, size_t,
+                          const int32_t*, size_t, size_t, double*, size_t);
+  std::vector<std::pair<const char*, Kernel>> kernels = {
+      {"dispatched", &ServeScoreRows},
+      {"generic", &internal::ServeScoreRowsGeneric}};
   if (internal::ServeKernelAvx2Available())
-    kernels.push_back({"avx2", internal::ServeGatherTransposeAvx2});
+    kernels.emplace_back("avx2", &internal::ServeScoreRowsAvx2);
+  if (internal::ServeKernelAvx512Available())
+    kernels.emplace_back("avx512", &internal::ServeScoreRowsAvx512);
 
   constexpr size_t kRows = 37;
-  constexpr size_t kGuard = 8;
+  constexpr size_t kPastCount = 20;
   constexpr double kUntouched = -12345.0;
   Rng rng(10);
   for (const size_t k : {0, 1, 3, 4, 7, 8, 9, 24, 48, 50}) {
     Matrix slab(kRows, k);
     for (size_t i = 0; i < slab.size(); ++i) slab[i] = rng.Gaussian();
-    for (const size_t count : {0, 1, 3, 4, 5, 7, 8, 9, 16, 17, 80, 81}) {
-      std::vector<int32_t> ids(count);
-      for (int32_t& id : ids)
-        id = static_cast<int32_t>(rng.UniformInt(kRows));
-      if (count > 0) ids.back() = static_cast<int32_t>(kRows - 1);
-      if (count > 2) ids[count / 2] = ids[0];
-      for (const auto& [name, gather] : kernels) {
-        std::vector<double> bt(k * count + kGuard, kUntouched);
-        gather(slab.data(), k, ids.data(), count, bt.data());
-        for (size_t i = 0; i < count; ++i) {
-          for (size_t d = 0; d < k; ++d) {
-            const double want = slab(static_cast<size_t>(ids[i]), d);
-            ASSERT_EQ(std::memcmp(&bt[d * count + i], &want, sizeof(double)),
-                      0)
-                << name << " k=" << k << " count=" << count << " row " << i
-                << " dim " << d;
+    for (const size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}) {
+      Matrix profile(m, k);
+      for (size_t i = 0; i < profile.size(); ++i) profile[i] = rng.Gaussian();
+      const size_t stride = ServeProfileStride(m);
+      std::vector<double> packed(k * stride, 0.0);
+      for (size_t p = 0; p < m; ++p)
+        for (size_t d = 0; d < k; ++d) packed[d * stride + p] = profile(p, d);
+      for (const size_t count : {0, 1, 3, 4, 5, 7, 8, 9, 16, 17, 80, 81}) {
+        std::vector<int32_t> ids(count + kPastCount);
+        for (int32_t& id : ids)
+          id = static_cast<int32_t>(rng.UniformInt(kRows));
+        if (count > 0) ids[count - 1] = static_cast<int32_t>(kRows - 1);
+        if (count > 2) ids[count / 2] = ids[0];
+        const size_t ld = count + 1;
+        for (const auto& [name, kernel] : kernels) {
+          std::vector<double> logits(m * ld + 8 * ld + 8, kUntouched);
+          kernel(packed.data(), m, slab.data(), k, ids.data(), count,
+                 ids.size(), logits.data(), ld);
+          for (size_t p = 0; p < m; ++p) {
+            for (size_t j = 0; j < count; ++j) {
+              const double want =
+                  Dot(profile.row_data(p),
+                      slab.row_data(static_cast<size_t>(ids[j])), k);
+              ASSERT_EQ(std::memcmp(&logits[p * ld + j], &want,
+                                    sizeof(double)),
+                        0)
+                  << name << " k=" << k << " m=" << m << " count=" << count
+                  << " logit (" << p << "," << j << ")";
+            }
+            ASSERT_EQ(logits[p * ld + count], kUntouched)
+                << name << " k=" << k << " m=" << m << " count=" << count
+                << " wrote past row " << p;
           }
+          for (size_t g = m * ld; g < logits.size(); ++g)
+            ASSERT_EQ(logits[g], kUntouched)
+                << name << " k=" << k << " m=" << m << " count=" << count
+                << " wrote a padding row";
         }
-        for (size_t g = k * count; g < bt.size(); ++g)
-          ASSERT_EQ(bt[g], kUntouched)
-              << name << " k=" << k << " count=" << count << " wrote past "
-              << "the tile";
-      }
-    }
-  }
-}
-
-TEST(ServeKernel, GemmIsBitIdenticalToScalarDot) {
-  // The whole batched-scorer determinism argument rests on this: one GEMM
-  // cell must be EXACTLY the ascending-k scalar dot product, for every
-  // kernel the dispatcher might pick, including the blocked edge paths.
-  Rng rng(11);
-  for (const auto& [m, k, n] :
-       {std::tuple<size_t, size_t, size_t>{1, 1, 1},
-        {3, 5, 7},
-        {4, 16, 16},
-        {5, 12, 33},
-        {16, 32, 128},
-        {7, 17, 130}}) {
-    std::vector<double> a(m * k), bt(k * n), c(m * n);
-    for (double& x : a) x = rng.Gaussian();
-    for (double& x : bt) x = rng.Gaussian();
-    ServeGemm(a.data(), k, bt.data(), n, c.data(), n, m, k, n);
-    std::vector<double> col(k);
-    for (size_t j = 0; j < n; ++j) {
-      for (size_t d = 0; d < k; ++d) col[d] = bt[d * n + j];
-      for (size_t i = 0; i < m; ++i) {
-        ASSERT_EQ(c[i * n + j], Dot(a.data() + i * k, col.data(), k))
-            << m << "x" << k << "x" << n << " cell (" << i << "," << j
-            << ")";
       }
     }
   }
@@ -450,7 +445,7 @@ TEST(ServeKernel, GemmIsBitIdenticalToScalarDot) {
 
 TEST(AnnKernel, DotBatchIsBitIdenticalToScalarDot) {
   // The ANN traversal's determinism rests on this the way the batched
-  // scorer's rests on ServeGemm: every batched distance must be EXACTLY
+  // scorer's rests on ServeScoreRows: every batched distance must be EXACTLY
   // la::Dot against the gathered row, whichever kernel the dispatcher
   // picked. Dims sweep the 8-block/4-block/scalar-tail boundaries of the
   // transpose kernel, counts sweep the lane-block boundaries, and the

@@ -185,14 +185,14 @@ TEST(RequestTrace, WriteJsonEmitsNonzeroStagesOnly) {
 TEST(RequestTrace, ScoreBreakdownStagesSerializeWithNames) {
   obs::RequestTrace t;
   t.stage_ns[static_cast<int>(obs::Stage::kScore)] = 4'000;
-  t.stage_ns[static_cast<int>(obs::Stage::kScoreGather)] = 1'000;
   t.stage_ns[static_cast<int>(obs::Stage::kScoreGemm)] = 2'000;
   t.stage_ns[static_cast<int>(obs::Stage::kScoreEpilogue)] = 500;
+  t.stage_ns[static_cast<int>(obs::Stage::kSelect)] = 1'000;
   obs::JsonWriter w;
   t.WriteJson(&w);
   const std::string json = w.str();
   EXPECT_TRUE(JsonChecker::Valid(json)) << json;
-  EXPECT_TRUE(Contains(json, "\"score_gather\"")) << json;
+  EXPECT_TRUE(Contains(json, "\"select\"")) << json;
   EXPECT_TRUE(Contains(json, "\"score_gemm\"")) << json;
   EXPECT_TRUE(Contains(json, "\"score_epilogue\"")) << json;
 }
@@ -865,17 +865,15 @@ TEST(ServiceObservability, GemmTracesCarryScoreStageBreakdown) {
   EXPECT_EQ(value_of(counters_after, "serve.score.requests.pairwise"),
             value_of(counters_before, "serve.score.requests.pairwise"));
 
-  // The sampled trace splits the score stage into gather/gemm/epilogue;
+  // The sampled trace splits the score stage into kernel and epilogue;
   // the breakdown can never exceed the enclosing score stage.
   const std::vector<obs::RequestTrace> recent =
       service.observer().recorder()->Recent();
   ASSERT_FALSE(recent.empty());
   const obs::RequestTrace& t = recent[0];
   const int64_t score = t.stage_ns[static_cast<int>(obs::Stage::kScore)];
-  const int64_t sub =
-      t.stage_ns[static_cast<int>(obs::Stage::kScoreGather)] +
-      t.stage_ns[static_cast<int>(obs::Stage::kScoreGemm)] +
-      t.stage_ns[static_cast<int>(obs::Stage::kScoreEpilogue)];
+  const int64_t sub = t.stage_ns[static_cast<int>(obs::Stage::kScoreGemm)] +
+                      t.stage_ns[static_cast<int>(obs::Stage::kScoreEpilogue)];
   EXPECT_GT(score, 0);
   EXPECT_GE(sub, 0);
   EXPECT_LE(sub, score);

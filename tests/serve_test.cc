@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_probe.h"
 #include "ann/hnsw_index.h"
 #include "common/file_util.h"
 #include "common/rng.h"
@@ -669,6 +670,29 @@ TEST(ServingState, AnnModeWithoutIndexIsALoadError) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("ANN"), std::string::npos);
+}
+
+TEST(ServingState, TopicIdValuesDoNotSizeTheLoad) {
+  // Topic ids come from the snapshot unbounded. One in-window paper of
+  // topic 2^22 must cost what one of topic 3 costs: a table sized by the
+  // largest id asked for ~100 MB here.
+  SnapshotData data = TinyData();  // papers 2 and 3 are in the window
+  data.topics = {3, int32_t{1} << 22, 3, int32_t{1} << 22};
+  data.profiles = {{0}, {1}};
+  CandidateIndexOptions options;
+  options.min_year = kSplitYear;
+  Result<std::shared_ptr<const ServingState>> state =
+      Status(StatusCode::kInternal, "not loaded");
+  const int64_t bytes = alloc_probe::CountAllocatedBytes([&] {
+    state = ServingState::FromSnapshot(std::move(data), options);
+  });
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_LT(bytes, int64_t{1} << 20);
+  const CandidateIndex& index = state.value()->index;
+  EXPECT_EQ(index.CandidatesFor(0), (std::vector<int32_t>{2}));
+  EXPECT_EQ(index.CandidatesFor(1), (std::vector<int32_t>{3}));
+  EXPECT_EQ(index.PapersForTopic(int32_t{1} << 22), (std::vector<int32_t>{3}));
+  EXPECT_TRUE(index.PapersForTopic((int32_t{1} << 22) - 1).empty());
 }
 
 // --- CandidateIndex -------------------------------------------------------
@@ -1531,6 +1555,92 @@ TEST_F(ServiceTest, BatchMatchesIndividualRequests) {
       EXPECT_EQ(batch[i].items[j].paper, individual.items[j].paper);
       EXPECT_EQ(batch[i].items[j].score, individual.items[j].score);
     }
+  }
+}
+
+/// A corrupt snapshot arriving while batches are in flight must leave the
+/// old generation serving: both loads fail, nothing swaps, the cache keeps
+/// its entries, and every answer is the one served before the attempt.
+TEST_F(ServiceTest, CorruptReloadUnderLoadKeepsTheOldGeneration) {
+  ServeOptions options;
+  options.num_threads = 4;
+  options.batch_size = 4;
+  RecommendService service(options);
+  ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
+
+  // One payload byte flipped (the checksum no longer matches), and the
+  // file cut short; per-process paths, like the fixture's file.
+  const Result<std::string> good = ReadFileToString(*snapshot_path_);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  const std::string stem = ::testing::TempDir() + "/subrec_corrupt_reload." +
+                           std::to_string(getpid());
+  std::string flipped = good.value();
+  char& byte = flipped[flipped.size() / 2];
+  byte = static_cast<char>(byte ^ 0x5A);
+  ASSERT_TRUE(WriteStringToFile(stem + ".flipped.snap", flipped).ok());
+  ASSERT_TRUE(WriteStringToFile(stem + ".truncated.snap",
+                                good.value().substr(0, good.value().size() / 2))
+                  .ok());
+
+  const size_t num_users =
+      std::min<size_t>(service.state()->profiles.size(), 32);
+  std::vector<RecRequest> reference;
+  for (size_t u = 0; u < num_users; ++u)
+    reference.push_back({static_cast<int32_t>(u), 4});
+  const std::vector<RecResponse> before = service.TopNBatch(reference);
+  for (const RecResponse& r : before) ASSERT_TRUE(r.status.ok());
+  obs::Counter* const swaps =
+      obs::MetricsRegistry::Global().GetCounter("serve.swaps");
+  const uint64_t generation = service.generation();
+  const int64_t swaps_before = swaps->value();
+
+  // n = 1..3: every list misses the cache once and is scored under load;
+  // the n = 4 entries stay as the reference pass left them.
+  std::vector<std::vector<RecRequest>> rounds;
+  std::vector<std::future<std::vector<RecResponse>>> inflight;
+  for (int round = 0; round < 10; ++round) {
+    std::vector<RecRequest> requests;
+    for (size_t u = 0; u < num_users; ++u)
+      requests.push_back({static_cast<int32_t>(u),
+                          1 + static_cast<int>((u + round) % 3)});
+    rounds.push_back(requests);
+    inflight.push_back(service.SubmitBatch(std::move(requests)));
+    if (round == 3) {
+      EXPECT_FALSE(service.LoadSnapshotFile(stem + ".flipped.snap").ok());
+    }
+    if (round == 6) {
+      EXPECT_FALSE(service.LoadSnapshotFile(stem + ".truncated.snap").ok());
+    }
+  }
+  for (size_t round = 0; round < rounds.size(); ++round) {
+    const std::vector<RecResponse> got = inflight[round].get();
+    ASSERT_EQ(got.size(), rounds[round].size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i].status.ok()) << got[i].status.ToString();
+      // Top-n of a strict total order is the prefix of the top-4 list.
+      const std::vector<ScoredPaper>& want =
+          before[static_cast<size_t>(rounds[round][i].user)].items;
+      const size_t n = std::min<size_t>(
+          static_cast<size_t>(rounds[round][i].n), want.size());
+      ASSERT_EQ(got[i].items.size(), n) << "round " << round << " slot " << i;
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(got[i].items[j].paper, want[j].paper);
+        EXPECT_EQ(got[i].items[j].score, want[j].score);
+      }
+    }
+  }
+  EXPECT_EQ(service.generation(), generation);
+  EXPECT_EQ(swaps->value(), swaps_before);
+
+  // The cache survived both attempts: the reference lists, cached before
+  // them and never requested since, are still hits.
+  const std::vector<RecResponse> again = service.TopNBatch(reference);
+  for (size_t i = 0; i < again.size(); ++i) {
+    ASSERT_TRUE(again[i].status.ok());
+    EXPECT_TRUE(again[i].cache_hit) << "user " << reference[i].user;
+    ASSERT_EQ(again[i].items.size(), before[i].items.size());
+    for (size_t j = 0; j < before[i].items.size(); ++j)
+      EXPECT_EQ(again[i].items[j].paper, before[i].items[j].paper);
   }
 }
 
