@@ -151,31 +151,28 @@ struct ScoreRowsWorkload {
   std::vector<std::vector<int32_t>> id_sets;
 };
 
-const ScoreRowsWorkload& ServeScanScoreRows() {
-  static const ScoreRowsWorkload* const workload = [] {
-    auto* w = new ScoreRowsWorkload;
-    using W = ScoreRowsWorkload;
-    Rng rng(6);
-    w->slab.resize(W::kRows * W::kDim);
-    for (double& v : w->slab) v = rng.Gaussian();
-    const size_t stride = la::ServeProfileStride(W::kProfileRows);
-    w->packed.assign(W::kDim * stride, 0.0);
-    for (size_t p = 0; p < W::kProfileRows; ++p)
-      for (size_t d = 0; d < W::kDim; ++d)
-        w->packed[d * stride + p] = rng.Gaussian();
-    std::vector<int32_t> pool(W::kRows / 2);
-    std::iota(pool.begin(), pool.end(), static_cast<int32_t>(W::kRows / 2));
-    for (size_t s = 0; s < W::kIdSets; ++s) {
-      for (size_t i = 0; i < W::kCandidates; ++i)
-        std::swap(pool[i], pool[i + static_cast<size_t>(
-                                        rng.UniformInt(pool.size() - i))]);
-      std::vector<int32_t> ids(pool.begin(), pool.begin() + W::kCandidates);
-      std::sort(ids.begin(), ids.end());
-      w->id_sets.push_back(std::move(ids));
-    }
-    return w;
-  }();
-  return *workload;
+ScoreRowsWorkload MakeScoreRowsWorkload() {
+  using W = ScoreRowsWorkload;
+  W w;
+  Rng rng(6);
+  w.slab.resize(W::kRows * W::kDim);
+  for (double& v : w.slab) v = rng.Gaussian();
+  const size_t stride = la::ServeProfileStride(W::kProfileRows);
+  w.packed.assign(W::kDim * stride, 0.0);
+  for (size_t p = 0; p < W::kProfileRows; ++p)
+    for (size_t d = 0; d < W::kDim; ++d)
+      w.packed[d * stride + p] = rng.Gaussian();
+  std::vector<int32_t> pool(W::kRows / 2);
+  std::iota(pool.begin(), pool.end(), static_cast<int32_t>(W::kRows / 2));
+  for (size_t s = 0; s < W::kIdSets; ++s) {
+    for (size_t i = 0; i < W::kCandidates; ++i)
+      std::swap(pool[i], pool[i + static_cast<size_t>(
+                                      rng.UniformInt(pool.size() - i))]);
+    std::vector<int32_t> ids(pool.begin(), pool.begin() + W::kCandidates);
+    std::sort(ids.begin(), ids.end());
+    w.id_sets.push_back(std::move(ids));
+  }
+  return w;
 }
 
 using ScoreRowsFn = void (*)(const double*, size_t, const double*, size_t,
@@ -183,7 +180,7 @@ using ScoreRowsFn = void (*)(const double*, size_t, const double*, size_t,
 
 void RunScoreRows(benchmark::State& state, ScoreRowsFn kernel) {
   using W = ScoreRowsWorkload;
-  const W& w = ServeScanScoreRows();
+  static const W w = MakeScoreRowsWorkload();  // shared by both benchmarks
   std::vector<double> logits(W::kProfileRows * W::kTile);
   size_t call = 0;
   for (auto _ : state) {
