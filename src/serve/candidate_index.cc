@@ -148,21 +148,12 @@ CandidateIndex::CandidateIndex(const SnapshotData& data,
       << "kAnnEmbedding retrieval requested without an ann::Index";
 
   std::vector<int32_t> pool;
-  std::vector<std::pair<int32_t, int32_t>> topic_papers;
   for (size_t p = 0; p < n; ++p) {
     if (data.years[p] > options.min_year && data.years[p] <= options.max_year) {
       pool.push_back(static_cast<int32_t>(p));
       if (data.topics[p] >= 0)
-        topic_papers.emplace_back(data.topics[p], static_cast<int32_t>(p));
+        by_topic_[data.topics[p]].push_back(static_cast<int32_t>(p));
     }
-  }
-  // Topic ids come from the snapshot unbounded, so they only ever key a
-  // sorted table, never size one.
-  std::sort(topic_papers.begin(), topic_papers.end());
-  for (const auto& [topic, paper] : topic_papers) {
-    if (by_topic_.empty() || by_topic_.back().topic != topic)
-      by_topic_.push_back({topic, {}});
-    by_topic_.back().papers.push_back(paper);
   }
   lists_.push_back(std::move(pool));
 
@@ -256,11 +247,8 @@ CandidateSource CandidateIndex::SourceFor(int32_t user) const {
 
 const std::vector<int32_t>& CandidateIndex::PapersForTopic(
     int32_t topic) const {
-  const auto it = std::lower_bound(
-      by_topic_.begin(), by_topic_.end(), topic,
-      [](const TopicPostings& e, int32_t t) { return e.topic < t; });
-  if (it == by_topic_.end() || it->topic != topic) return empty_;
-  return it->papers;
+  const auto it = by_topic_.find(topic);
+  return it == by_topic_.end() ? empty_ : it->second;
 }
 
 }  // namespace subrec::serve

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "ann/index.h"
@@ -114,14 +115,10 @@ class CandidateIndex {
   /// it.
   std::vector<uint32_t> per_user_list_;
   std::vector<CandidateSource> per_user_source_;
-  /// One distinct in-window topic id and its in-window new papers.
-  struct TopicPostings {
-    int32_t topic = -1;
-    std::vector<int32_t> papers;
-  };
-  /// Postings of every distinct in-window topic, ascending by topic and
-  /// looked up by binary search: sized by the pool, whatever the ids.
-  std::vector<TopicPostings> by_topic_;
+  /// In-window new papers of every distinct in-window topic id. Topic ids
+  /// arrive from the snapshot unbounded, so they key the postings and
+  /// never size them: memory follows the pool, whatever the id values.
+  std::map<int32_t, std::vector<int32_t>> by_topic_;
   std::vector<int32_t> empty_;
 };
 
