@@ -59,6 +59,7 @@ Result<std::shared_ptr<const ServingState>> ServingState::FromSnapshot(
   // pool scan with different results and a different cost model.
   std::unique_ptr<const ann::HnswIndex> ann_index;
   if (!data.ann_index.empty()) {
+    SUBREC_TRACE_SPAN("serve/ann_deserialize");
     SUBREC_ASSIGN_OR_RETURN(std::unique_ptr<ann::HnswIndex> decoded,
                             ann::HnswIndex::Deserialize(data.ann_index));
     // Deserialize validates the index's internal structure only; its
@@ -93,16 +94,23 @@ Result<std::shared_ptr<const ServingState>> ServingState::FromSnapshot(
   // Build the index first (it reads only the attribute arrays), pull the
   // small members out, then let FrozenScorer move the three big matrices
   // instead of copying them — snapshot load never doubles peak memory.
-  CandidateIndex index(data, index_options, ann_index.get());
+  CandidateIndex index = [&] {
+    SUBREC_TRACE_SPAN("serve/candidate_index");
+    return CandidateIndex(data, index_options, ann_index.get());
+  }();
   std::vector<std::vector<int32_t>> profiles = std::move(data.profiles);
   std::string model_name = std::move(data.model_name);
   std::string dataset = std::move(data.dataset);
   const int32_t split_year = data.split_year;
-  auto state = std::make_shared<ServingState>(ServingState{
-      FrozenScorer(std::move(data)), std::move(index), std::move(profiles),
-      std::move(model_name), std::move(dataset), split_year,
-      std::move(ann_index)});
-  return std::shared_ptr<const ServingState>(std::move(state));
+  std::shared_ptr<const ServingState> state;
+  {
+    SUBREC_TRACE_SPAN("serve/scorer");  // includes the influence row layout
+    state = std::make_shared<ServingState>(ServingState{
+        FrozenScorer(std::move(data)), std::move(index), std::move(profiles),
+        std::move(model_name), std::move(dataset), split_year,
+        std::move(ann_index)});
+  }
+  return state;
 }
 
 RecommendService::RecommendService(const ServeOptions& options)
@@ -119,7 +127,11 @@ RecommendService::RecommendService(const ServeOptions& options)
 RecommendService::~RecommendService() { pool_.Shutdown(); }
 
 Status RecommendService::LoadSnapshotFile(const std::string& path) {
-  SUBREC_ASSIGN_OR_RETURN(SnapshotData data, SnapshotReader::ReadFile(path));
+  SnapshotData data;
+  {
+    SUBREC_TRACE_SPAN("serve/decode");
+    SUBREC_ASSIGN_OR_RETURN(data, SnapshotReader::ReadFile(path));
+  }
   SUBREC_ASSIGN_OR_RETURN(std::shared_ptr<const ServingState> state,
                           ServingState::FromSnapshot(std::move(data),
                                                      options_.index));
