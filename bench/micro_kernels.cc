@@ -138,10 +138,13 @@ BENCHMARK(BM_Lof)
 
 // --- Serving-path scoring kernels ------------------------------------
 //
-// serve_scan's scoring shape: 8 profile rows against 3,072 sorted ids
-// scattered over the top half (the new papers) of a 1e5 x 48 influence
-// slab, a different id set each call, scored in 128-wide tiles the way
-// FrozenScorer does, so the kernel's prefetch runs across tile boundaries.
+// serve_scan's scoring shape: 8 profile rows against 3,072 rows of a 1e5 x
+// 48 influence slab, a different row set each call, scored in 128-wide
+// tiles the way FrozenScorer does, so the kernel's prefetch runs across
+// tile boundaries. Two row patterns: sorted rows scattered over the top
+// half of the slab (the new papers in id order, as ANN lists still read
+// them), and the pattern FrozenScorer's (discipline, topic) layout serves a
+// filtered list, one or two ascending runs interleaved in paper-id order.
 
 struct ScoreRowsWorkload {
   static constexpr size_t kRows = 100000, kDim = 48, kProfileRows = 8;
@@ -149,6 +152,10 @@ struct ScoreRowsWorkload {
   std::vector<double> slab;
   std::vector<double> packed;  // transposed profile, ServeProfileStride rows
   std::vector<std::vector<int32_t>> id_sets;
+  /// Even sets: one run of kCandidates consecutive rows. Odd sets: two
+  /// runs of half that, in the lower and upper half of the slab, merged
+  /// in a random order (a two-topic list walked by paper id).
+  std::vector<std::vector<int32_t>> clustered_sets;
 };
 
 ScoreRowsWorkload MakeScoreRowsWorkload() {
@@ -172,19 +179,40 @@ ScoreRowsWorkload MakeScoreRowsWorkload() {
     std::sort(ids.begin(), ids.end());
     w.id_sets.push_back(std::move(ids));
   }
+  for (size_t s = 0; s < W::kIdSets; ++s) {
+    const size_t runs = 1 + s % 2, len = W::kCandidates / runs;
+    const size_t span = W::kRows / runs;
+    std::vector<size_t> next, left(runs, len);
+    for (size_t r = 0; r < runs; ++r)
+      next.push_back(r * span + rng.UniformInt(span - len));
+    std::vector<int32_t> ids;
+    while (ids.size() < W::kCandidates) {
+      size_t r = 0;
+      if (runs == 2 && rng.UniformInt(left[0] + left[1]) >= left[0]) r = 1;
+      ids.push_back(static_cast<int32_t>(next[r]++));
+      --left[r];
+    }
+    w.clustered_sets.push_back(std::move(ids));
+  }
   return w;
 }
 
 using ScoreRowsFn = void (*)(const double*, size_t, const double*, size_t,
                              const int32_t*, size_t, size_t, double*, size_t);
 
-void RunScoreRows(benchmark::State& state, ScoreRowsFn kernel) {
+const ScoreRowsWorkload& ScoreRows() {
+  static const ScoreRowsWorkload w = MakeScoreRowsWorkload();
+  return w;
+}
+
+void RunScoreRows(benchmark::State& state, ScoreRowsFn kernel,
+                  const std::vector<std::vector<int32_t>>& sets) {
   using W = ScoreRowsWorkload;
-  static const W w = MakeScoreRowsWorkload();  // shared by both benchmarks
+  const W& w = ScoreRows();
   std::vector<double> logits(W::kProfileRows * W::kTile);
   size_t call = 0;
   for (auto _ : state) {
-    const std::vector<int32_t>& ids = w.id_sets[call++ % W::kIdSets];
+    const std::vector<int32_t>& ids = sets[call++ % sets.size()];
     for (size_t j0 = 0; j0 < ids.size(); j0 += W::kTile) {
       const size_t tw = std::min(W::kTile, ids.size() - j0);
       kernel(w.packed.data(), W::kProfileRows, w.slab.data(), W::kDim,
@@ -199,9 +227,14 @@ void RunScoreRows(benchmark::State& state, ScoreRowsFn kernel) {
 }
 
 void BM_ServeScoreRows(benchmark::State& state) {
-  RunScoreRows(state, &la::ServeScoreRows);
+  RunScoreRows(state, &la::ServeScoreRows, ScoreRows().id_sets);
 }
 BENCHMARK(BM_ServeScoreRows);
+
+void BM_ServeScoreRowsClustered(benchmark::State& state) {
+  RunScoreRows(state, &la::ServeScoreRows, ScoreRows().clustered_sets);
+}
+BENCHMARK(BM_ServeScoreRowsClustered);
 
 /// The AVX2 kernel, timed directly: every AVX-512 host dispatches past it,
 /// so on those hosts this is the only run it gets.
@@ -210,7 +243,7 @@ void BM_ServeScoreRowsAvx2(benchmark::State& state) {
     state.SkipWithError("AVX2 serve kernel not available on this host");
     return;
   }
-  RunScoreRows(state, &la::internal::ServeScoreRowsAvx2);
+  RunScoreRows(state, &la::internal::ServeScoreRowsAvx2, ScoreRows().id_sets);
 }
 BENCHMARK(BM_ServeScoreRowsAvx2);
 
