@@ -25,11 +25,14 @@
 // are never stored. Profiles wider than 8 rows (stacked requests) loop
 // over 8-row blocks while the block's candidate rows are still L1-hot.
 //
-// The rows are scattered over a slab far bigger than L2, so every row is a
-// run of cache misses the hardware prefetcher cannot predict: every line
-// of the rows kPrefetchRows ahead is software-prefetched, across the end
-// of the scored range up to `readable` (the caller scores one tile at a
-// time; the next tile's rows are in flight while this one computes).
+// The slab is far bigger than L2. FrozenScorer lays its rows out by
+// (discipline, topic), so a filtered list reads one or two ascending runs
+// of rows, but ANN lists still read rows scattered over the slab and every
+// run ends in a jump, each a run of cache misses the hardware prefetcher
+// cannot predict: every line of the rows kPrefetchRows ahead is
+// software-prefetched, across the end of the scored range up to `readable`
+// (the caller scores one tile at a time; the next tile's rows are in
+// flight while this one computes).
 
 #include <algorithm>
 #include <cstddef>
