@@ -1,7 +1,8 @@
 // Engineering microbenchmarks (google-benchmark): the hot kernels under
 // every experiment — dense matmul, autodiff forward/backward, the hashed
 // sentence encoder, CRF Viterbi decoding, GMM EM, LOF, the serve scoring
-// kernels, the AVX2 ANN distance kernel, and corpus generation throughput.
+// kernels, the snapshot checksum and file load, the AVX2 ANN distance
+// kernel, and corpus generation throughput.
 // Useful for tracking performance regressions; no paper table corresponds
 // to this binary.
 
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <numeric>
 #include <string>
@@ -296,6 +298,65 @@ void BM_ServeScorePairwise(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_ServeScorePairwise)->Arg(4096);
+
+// --- Snapshot load ------------------------------------------------------
+//
+// The payload checksum over 8 MiB (bytes/s; the carry-less-multiply fold
+// wherever the CPU has it), and one ReadFile of a synthetic 2e4 x 48
+// snapshot in the system temp directory: the decode every reload pays,
+// including the page faults of its fresh slabs.
+
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(size_t{8} << 20, '\0');
+  Rng rng(9);
+  for (char& ch : bytes) ch = static_cast<char>(rng.UniformInt(256));
+  for (auto _ : state) benchmark::DoNotOptimize(serve::Crc32(bytes));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
+
+void BM_SnapshotReadFile(benchmark::State& state) {
+  constexpr size_t kPapers = 20000, kDim = 48, kUsers = 2000;
+  Rng rng(10);
+  serve::SnapshotData data;
+  data.model_name = "NPRec";
+  data.dataset = "synthetic";
+  data.split_year = 2014;
+  data.interest = la::Matrix::Random(kPapers, kDim, rng);
+  data.influence = la::Matrix::Random(kPapers, kDim, rng);
+  for (size_t p = 0; p < kPapers; ++p) {
+    data.years.push_back(2005 + static_cast<int32_t>(p % 15));
+    data.disciplines.push_back(static_cast<int32_t>(p % 3));
+    data.topics.push_back(static_cast<int32_t>(p % 24));
+  }
+  for (size_t u = 0; u < kUsers; ++u) {
+    std::vector<int32_t> profile(1 + u % 12);
+    for (int32_t& pid : profile)
+      pid = static_cast<int32_t>(rng.UniformInt(kPapers));
+    data.profiles.push_back(std::move(profile));
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "subrec_bm_snapshot.snap")
+          .string();
+  const serve::SnapshotWriter writer(data);
+  if (!writer.WriteFile(path).ok()) {
+    state.SkipWithError("cannot write the snapshot file");
+    return;
+  }
+  for (auto _ : state) {
+    Result<serve::SnapshotData> read = serve::SnapshotReader::ReadFile(path);
+    if (!read.ok()) {
+      state.SkipWithError(read.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(read.value().interest.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(writer.bytes().size()));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_SnapshotReadFile);
 
 // --- ANN distance kernel ------------------------------------------------
 //

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <compare>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -74,6 +75,41 @@ bool AnnCandidatesForUser(const SnapshotData& data,
   }
   std::sort(out->begin(), out->end());
   return !out->empty();
+}
+
+/// The order the ANN pass walks users in: by the sorted distinct
+/// (topic, discipline) pairs of each profile, whatever the filter options,
+/// ties by user id. Consecutive walks then start from similar queries and
+/// search the same region of the graph while it is still in cache. The
+/// ids are snapshot data, so they are only compared, never used as array
+/// indices, and all users' pairs share one flat array.
+std::vector<uint32_t> AnnWalkOrder(const SnapshotData& data) {
+  const size_t users = data.profiles.size();
+  std::vector<uint64_t> pairs;
+  std::vector<size_t> first(users + 1, 0);  // user u owns [first[u], first[u+1])
+  for (size_t u = 0; u < users; ++u) {
+    const auto at = static_cast<std::ptrdiff_t>(pairs.size());
+    for (int32_t pid : data.profiles[u]) {
+      const auto p = static_cast<size_t>(pid);
+      pairs.push_back(
+          static_cast<uint64_t>(static_cast<uint32_t>(data.topics[p])) << 32 |
+          static_cast<uint32_t>(data.disciplines[p]));
+    }
+    std::sort(pairs.begin() + at, pairs.end());
+    pairs.erase(std::unique(pairs.begin() + at, pairs.end()), pairs.end());
+    first[u + 1] = pairs.size();
+  }
+  std::vector<uint32_t> order(users);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const auto by_key = std::lexicographical_compare_three_way(
+        pairs.begin() + static_cast<std::ptrdiff_t>(first[a]),
+        pairs.begin() + static_cast<std::ptrdiff_t>(first[a + 1]),
+        pairs.begin() + static_cast<std::ptrdiff_t>(first[b]),
+        pairs.begin() + static_cast<std::ptrdiff_t>(first[b + 1]));
+    return by_key != 0 ? by_key < 0 : a < b;
+  });
+  return order;
 }
 
 /// What a filtered candidate list depends on: the profile's distinct
@@ -161,17 +197,20 @@ CandidateIndex::CandidateIndex(const SnapshotData& data,
   per_user_list_.assign(users, 0);
   per_user_source_.assign(users, CandidateSource::kFullPool);
 
-  // ANN pass first: per-user graph queries fan out over the pool (each
-  // user's list lands in its own slot, so the result is independent of
+  // ANN pass first: per-user graph queries fan out over the pool in
+  // AnnWalkOrder (each user's list lands in its own slot, so the lists and
+  // the ann.* counters are independent of the order and of
   // SUBREC_NUM_THREADS); users ANN could not serve fall through to the
   // filtered branches below exactly as in kFiltered mode.
   if (use_ann && users > 0) {
+    const std::vector<uint32_t> order = AnnWalkOrder(data);
     std::vector<std::vector<int32_t>> ann_lists(users);
     std::atomic<int64_t> queries{0}, nodes{0}, evals{0}, returned{0}, kept{0};
     par::ParallelFor(users, 8, [&](size_t begin, size_t end) {
       ann::SearchStats stats;
       int64_t local_queries = 0, local_returned = 0, local_kept = 0;
-      for (size_t u = begin; u < end; ++u) {
+      for (size_t i = begin; i < end; ++i) {
+        const size_t u = order[i];
         if (data.profiles[u].empty()) continue;
         ++local_queries;
         if (AnnCandidatesForUser(data, options, *ann_index, data.profiles[u],

@@ -140,6 +140,7 @@ Status RecommendService::LoadSnapshotFile(const std::string& path) {
 }
 
 void RecommendService::Swap(std::shared_ptr<const ServingState> state) {
+  SUBREC_TRACE_SPAN("serve/swap");
   SUBREC_CHECK(state != nullptr);
   static obs::Counter* const swaps =
       obs::MetricsRegistry::Global().GetCounter("serve.swaps");
@@ -147,10 +148,13 @@ void RecommendService::Swap(std::shared_ptr<const ServingState> state) {
   // the new generation number is then guaranteed to also see the new state,
   // so a stale result can never be cached under the new generation. (The
   // benign converse — a fresh result under the old generation — only wastes
-  // one cache slot.)
+  // one cache slot.) The old generation leaves the lock in `old` and is
+  // freed when this function returns (if no request still holds it), so
+  // requests never wait on state_mu_ while its slabs are freed.
+  std::shared_ptr<const ServingState> old;
   {
     common::MutexLock lock(&state_mu_);
-    state_ = std::move(state);
+    old = std::exchange(state_, std::move(state));
   }
   generation_.fetch_add(1);
   if (cache_) cache_->Clear();

@@ -101,6 +101,8 @@ class RecommendService {
   Status LoadSnapshotFile(const std::string& path);
 
   /// Hot reload: publishes `state` in one step and invalidates the cache.
+  /// The old generation is released after the state lock, so requests
+  /// never wait while its slabs are freed.
   void Swap(std::shared_ptr<const ServingState> state);
 
   /// The current generation's state (nullptr before the first swap).

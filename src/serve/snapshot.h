@@ -1,6 +1,7 @@
 #ifndef SUBREC_SERVE_SNAPSHOT_H_
 #define SUBREC_SERVE_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -49,6 +50,27 @@ struct SnapshotData {
 /// snapshot payload checksum; also handy for tests that corrupt bytes.
 uint32_t Crc32(std::string_view data);
 
+/// Extends `crc`, the CRC-32 of some bytes A, to the CRC-32 of A followed
+/// by `data`: Crc32Update(Crc32(a), b) == Crc32(a + b), and
+/// Crc32Update(0, b) == Crc32(b). The snapshot writer folds each section
+/// in as it is encoded, and the reader each run of bytes as it lands.
+uint32_t Crc32Update(uint32_t crc, std::string_view data);
+
+namespace internal {
+
+/// The kernels behind Crc32Update. Both advance the raw CRC register (the
+/// CRC before its final inversion) over `n` bytes at `p`.
+/// Slicing-by-8 tables: any length, any host.
+uint32_t Crc32Tables(uint32_t reg, const unsigned char* p, size_t n);
+/// Carry-less-multiply folding (serve/crc32_fold.cc): `n` >= 64 and a
+/// multiple of 16. Runs the table kernel where the build has no PCLMULQDQ.
+uint32_t Crc32Fold(uint32_t reg, const unsigned char* p, size_t n);
+/// True when the fold TU was compiled with PCLMULQDQ and SSE4.1 AND the
+/// running CPU reports both.
+bool Crc32FoldAvailable();
+
+}  // namespace internal
+
 /// Serializes SnapshotData into the versioned binary snapshot format:
 ///
 ///   [magic u64][version u32][section_count u32][payload_size u64]
@@ -72,15 +94,27 @@ class SnapshotWriter {
   std::string bytes_;
 };
 
-/// Parses snapshot bytes back into SnapshotData. Every failure mode on
+/// Decodes snapshot bytes back into SnapshotData. Every failure mode on
 /// untrusted input — truncation, bad magic, unsupported version, checksum
 /// mismatch, section lengths running past the payload, inconsistent array
 /// sizes — returns an error Status; this path never aborts.
+///
+/// One decoder serves both entry points: it pulls each section's bytes
+/// straight into the slab, array, profile list or string that keeps them,
+/// folding them into the payload checksum as they land. The checksum is
+/// compared after the last payload byte, whatever the sections made of
+/// them, so a corrupt payload always reports "checksum mismatch"; only a
+/// payload whose checksum holds can surface a section error, and
+/// structural validation runs last.
 class SnapshotReader {
  public:
   static Result<SnapshotData> Parse(std::string_view bytes);
 
-  /// Reads `path` and parses it.
+  /// Streams `path` through the same decoder as Parse, with the same
+  /// result and Status for the same bytes. No whole-file buffer: small
+  /// fields pass through one fixed buffer and big arrays are read straight
+  /// into their storage. A file that ends early, even one that shrinks
+  /// while it is read, is "snapshot: truncated".
   static Result<SnapshotData> ReadFile(const std::string& path);
 };
 

@@ -5,7 +5,9 @@
 // snapshot's payload checksum so the mutated bytes reach the section
 // decoders, and then requires that every call returns a Status, never
 // crashes, and never asks the allocator for more than a small multiple of
-// its input (counted by the test binary's operator new probe).
+// its input (counted by the test binary's operator new probe). Each
+// snapshot mutant is also written to a file: SnapshotReader::ReadFile
+// streams it through the same decoder and must agree with Parse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 
 #include "alloc_probe.h"
 #include "ann/hnsw_index.h"
+#include "common/file_util.h"
 #include "common/rng.h"
 #include "common/wire.h"
 #include "serve/snapshot.h"
@@ -34,6 +37,8 @@ constexpr int kIterationsPerTarget = 2000;
 constexpr int64_t kAllocMultiple = 4;
 constexpr int64_t kAllocSlackBytes = 16 << 10;
 constexpr size_t kSnapshotHeaderSize = 24;  // magic, version, count, size
+// ReadFile's one read buffer, on top of what Parse may allocate.
+constexpr int64_t kReadBufferSlackBytes = 64 << 10;
 
 int64_t AllocCap(size_t input_size) {
   return kAllocMultiple * static_cast<int64_t>(input_size) + kAllocSlackBytes;
@@ -266,12 +271,51 @@ void Reseal(std::string* bytes) {
     bytes->push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
 }
 
+/// ReadFile of a file holding `bytes` must agree with Parse of them: the
+/// same ok-ness, status code and message, and equal data when both
+/// decode.
+void ExpectReadFileMatchesParse(const std::string& bytes,
+                                const Result<serve::SnapshotData>& parsed,
+                                const std::string& path,
+                                const std::string& context) {
+  ASSERT_TRUE(WriteStringToFile(path, bytes).ok()) << path;
+  Result<serve::SnapshotData> read = Status::Internal("not run");
+  const int64_t allocated = CountAllocatedBytes(
+      [&] { read = serve::SnapshotReader::ReadFile(path); });
+  EXPECT_LE(allocated, AllocCap(bytes.size()) + kReadBufferSlackBytes)
+      << context << ": ReadFile of " << bytes.size() << " bytes allocated "
+      << allocated;
+  ASSERT_EQ(read.ok(), parsed.ok())
+      << context << ": ReadFile says " << read.status().ToString()
+      << ", Parse says " << parsed.status().ToString();
+  if (!parsed.ok()) {
+    EXPECT_EQ(read.status().code(), parsed.status().code()) << context;
+    EXPECT_EQ(read.status().message(), parsed.status().message()) << context;
+    return;
+  }
+  const serve::SnapshotData& a = read.value();
+  const serve::SnapshotData& b = parsed.value();
+  EXPECT_EQ(a.model_name, b.model_name) << context;
+  EXPECT_EQ(a.dataset, b.dataset) << context;
+  EXPECT_EQ(a.split_year, b.split_year) << context;
+  EXPECT_EQ(a.interest, b.interest) << context;
+  EXPECT_EQ(a.influence, b.influence) << context;
+  EXPECT_EQ(a.text, b.text) << context;
+  EXPECT_EQ(a.years, b.years) << context;
+  EXPECT_EQ(a.disciplines, b.disciplines) << context;
+  EXPECT_EQ(a.topics, b.topics) << context;
+  EXPECT_EQ(a.profiles, b.profiles) << context;
+  EXPECT_EQ(a.ann_index, b.ann_index) << context;
+}
+
 TEST(DecoderFuzz, SnapshotMutantsReturnStatusWithinAllocationCap) {
   const std::string valid = serve::SnapshotWriter(FuzzSnapshotData()).bytes();
   const std::vector<Field> fields = SnapshotFields(valid);
   ASSERT_GT(fields.size(), 100u);  // the walker saw every ANN link count
   ASSERT_TRUE(serve::SnapshotReader::Parse(valid).ok());
 
+  const std::string path =
+      ::testing::TempDir() + "/subrec_fuzz_snapshot_mutant.snap";
   Rng rng(0x5EED5A9ULL);
   int parsed_ok = 0, ann_ok = 0, past_checksum = 0;
   for (int it = 0; it < kIterationsPerTarget; ++it) {
@@ -286,6 +330,9 @@ TEST(DecoderFuzz, SnapshotMutantsReturnStatusWithinAllocationCap) {
     ASSERT_LE(allocated, AllocCap(bytes.size()))
         << "iteration " << it << ": snapshot decode of " << bytes.size()
         << " bytes allocated " << allocated;
+    ExpectReadFileMatchesParse(bytes, parsed, path,
+                               "iteration " + std::to_string(it));
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
     if (!parsed.ok()) {
       EXPECT_FALSE(parsed.status().message().empty()) << "iteration " << it;
       if (parsed.status().message().find("checksum") == std::string::npos)
@@ -313,6 +360,41 @@ TEST(DecoderFuzz, SnapshotMutantsReturnStatusWithinAllocationCap) {
   EXPECT_GT(parsed_ok, kIterationsPerTarget / 20);
   EXPECT_GT(ann_ok, 0);
   EXPECT_GT(past_checksum, kIterationsPerTarget / 4);
+}
+
+TEST(DecoderFuzz, FilesCutAtSectionBoundariesReadLikeParse) {
+  // A file cut at the start of every section frame and body, at the end
+  // of the payload, and one byte short: each is "snapshot: truncated",
+  // from ReadFile exactly as from Parse.
+  const std::string valid = serve::SnapshotWriter(FuzzSnapshotData()).bytes();
+  const std::string path =
+      ::testing::TempDir() + "/subrec_fuzz_snapshot_cut.snap";
+  std::vector<size_t> cuts = {0, 8, 12, kSnapshotHeaderSize,
+                              valid.size() - 4, valid.size() - 1};
+  wire::Cursor c(std::string_view(valid).substr(kSnapshotHeaderSize));
+  while (c.remaining() > 4) {
+    cuts.push_back(valid.size() - c.remaining());  // frame
+    uint32_t tag = 0;
+    uint64_t size = 0;
+    ASSERT_TRUE(c.ReadU32(&tag).ok());
+    ASSERT_TRUE(c.ReadU64(&size).ok());
+    cuts.push_back(valid.size() - c.remaining());  // body
+    std::string_view body;
+    ASSERT_TRUE(c.ReadView(size, &body).ok());
+  }
+  ASSERT_EQ(cuts.size(), 6u + 2 * 9);  // every section, the ANN one too
+  for (size_t cut : cuts) {
+    const std::string bytes = valid.substr(0, cut);
+    const Result<serve::SnapshotData> parsed =
+        serve::SnapshotReader::Parse(bytes);
+    ASSERT_FALSE(parsed.ok()) << "cut at " << cut;
+    EXPECT_EQ(parsed.status().message(), "snapshot: truncated")
+        << "cut at " << cut;
+    ExpectReadFileMatchesParse(bytes, parsed, path,
+                               "cut at " + std::to_string(cut));
+  }
+  ExpectReadFileMatchesParse(valid, serve::SnapshotReader::Parse(valid), path,
+                             "uncut");
 }
 
 TEST(DecoderFuzz, AnnBlobMutantsReturnStatusWithinAllocationCap) {

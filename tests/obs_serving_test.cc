@@ -835,6 +835,28 @@ TEST(SnapshotAllocation, DecodeAllocatesPerSectionNotPerRow) {
   ASSERT_EQ(parsed.interest.cols(), 8u);
 }
 
+TEST(SnapshotAllocation, ReadFileHoldsNoWholeFileBuffer) {
+  // ReadFile streams each section into its own storage: what it allocates
+  // is the decoded data plus one fixed read buffer, never a copy of the
+  // file. Reading the file into memory first costs the payload twice over.
+  const serve::SnapshotData big = SyntheticServingData(4096, 8);
+  const serve::SnapshotWriter writer(big);
+  const std::string path =
+      ::testing::TempDir() + "/subrec_readfile_allocation.snap";
+  ASSERT_TRUE(writer.WriteFile(path).ok());
+  const int64_t payload = static_cast<int64_t>(writer.bytes().size()) - 28;
+
+  serve::SnapshotData read;
+  const int64_t alloc_bytes = CountAllocatedBytes([&] {
+    auto result = serve::SnapshotReader::ReadFile(path);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    read = std::move(result).value();
+  });
+  EXPECT_LE(alloc_bytes, payload + 64 * 1024);
+  EXPECT_EQ(read.interest, big.interest);
+  EXPECT_EQ(read.profiles, big.profiles);
+}
+
 TEST(ServiceObservability, GemmTracesCarryScoreStageBreakdown) {
   serve::ServeOptions so;
   so.num_threads = 1;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -173,6 +174,48 @@ TEST(Crc32, MatchesBytewiseOracleOnEveryShortLengthAndOffset) {
   std::string big(size_t{1} << 20, '\0');
   for (char& ch : big) ch = static_cast<char>(rng.UniformInt(256));
   EXPECT_EQ(Crc32(big), BytewiseCrc32(big));
+}
+
+TEST(Crc32, IncrementalUpdatesMatchOneShotAtEverySplit) {
+  // Buffers just around the fold's 16-byte block and 64-byte step (and two
+  // steps), split at every point: the fold takes whole blocks of one piece
+  // and the tables its tail, so each split moves that boundary.
+  Rng rng(0x1C2C3ULL);
+  for (size_t len : {15u, 16u, 17u, 63u, 64u, 65u, 79u, 80u, 81u, 127u, 128u,
+                     129u, 143u, 144u, 200u}) {
+    std::string buffer(len, '\0');
+    for (char& ch : buffer) ch = static_cast<char>(rng.UniformInt(256));
+    const uint32_t oracle = BytewiseCrc32(buffer);
+    ASSERT_EQ(Crc32(buffer), oracle) << "length " << len;
+    for (size_t split = 0; split <= len; ++split) {
+      const std::string_view view(buffer);
+      EXPECT_EQ(Crc32Update(Crc32(view.substr(0, split)), view.substr(split)),
+                oracle)
+          << "length " << len << " split " << split;
+    }
+  }
+  EXPECT_EQ(Crc32Update(0, ""), 0u);
+  EXPECT_EQ(Crc32Update(Crc32("1234"), "56789"), 0xCBF43926u);
+}
+
+TEST(Crc32, FoldKernelMatchesTableKernelWhereTheHostHasPclmul) {
+  if (!internal::Crc32FoldAvailable())
+    GTEST_SKIP() << "no PCLMULQDQ in this build or on this CPU";
+  Rng rng(0xF01DULL);
+  std::string buffer(4096 + 15, '\0');
+  for (char& ch : buffer) ch = static_cast<char>(rng.UniformInt(256));
+  const auto* bytes = reinterpret_cast<const unsigned char*>(buffer.data());
+  // Every 16-byte multiple from the minimum 64 up, from aligned and
+  // unaligned starts, from the initial register and a running one.
+  for (size_t offset : {0u, 1u, 7u, 15u}) {
+    for (size_t n = 64; n <= 4096; n += 16) {
+      for (uint32_t reg : {0xFFFFFFFFu, 0x12345678u}) {
+        ASSERT_EQ(internal::Crc32Fold(reg, bytes + offset, n),
+                  internal::Crc32Tables(reg, bytes + offset, n))
+            << "offset " << offset << " length " << n;
+      }
+    }
+  }
 }
 
 TEST(FileUtil, RoundTripsBinaryContent) {
@@ -700,8 +743,9 @@ TEST(ServingState, TopicIdValuesDoNotSizeTheLoad) {
 }
 
 TEST(ServingState, OneLoadRecordsEachLoadStageSpanOnce) {
-  // Decode, ANN deserialize, candidate index and scorer (which holds the
-  // influence row layout) each record one span per load.
+  // Decode (and within it each section), ANN deserialize, candidate index,
+  // scorer (which holds the influence row layout) and the swap each record
+  // one span per load.
   const std::string path = ::testing::TempDir() + "/subrec_load_spans." +
                            std::to_string(getpid()) + ".snap";
   ASSERT_TRUE(SnapshotWriter(GoldenAnnData()).WriteFile(path).ok());
@@ -710,14 +754,40 @@ TEST(ServingState, OneLoadRecordsEachLoadStageSpanOnce) {
   recorder.Enable();
   const Status loaded = service.LoadSnapshotFile(path);
   const std::vector<obs::SpanTotal> totals = recorder.AggregateTotals();
+  const std::vector<obs::TraceEvent> events = recorder.Events();
   recorder.Disable();
   recorder.Clear();
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   std::map<std::string, int64_t> counts;
   for (const obs::SpanTotal& total : totals) counts[total.name] = total.count;
-  for (const char* name : {"serve/decode", "serve/ann_deserialize",
-                           "serve/candidate_index", "serve/scorer"}) {
+  const std::vector<std::string> sections = {
+      "serve/decode/meta",        "serve/decode/interest",
+      "serve/decode/influence",   "serve/decode/text",
+      "serve/decode/years",       "serve/decode/disciplines",
+      "serve/decode/topics",      "serve/decode/profiles",
+      "serve/decode/ann"};
+  for (const char* name :
+       {"serve/decode", "serve/ann_deserialize", "serve/candidate_index",
+        "serve/scorer", "serve/swap"}) {
     EXPECT_EQ(counts[name], 1) << name;
+  }
+  for (const std::string& name : sections) EXPECT_EQ(counts[name], 1) << name;
+  EXPECT_EQ(counts["serve/decode/unknown"], 0);
+
+  // Each section span lies inside the decode span, on the same thread.
+  const auto decode = std::find_if(
+      events.begin(), events.end(), [](const obs::TraceEvent& e) {
+        return std::string_view(e.name) == "serve/decode";
+      });
+  ASSERT_NE(decode, events.end());
+  for (const obs::TraceEvent& e : events) {
+    if (std::find(sections.begin(), sections.end(), e.name) == sections.end())
+      continue;
+    EXPECT_EQ(e.tid, decode->tid) << e.name;
+    EXPECT_GE(e.start_ns, decode->start_ns) << e.name;
+    EXPECT_LE(e.start_ns + e.duration_ns,
+              decode->start_ns + decode->duration_ns)
+        << e.name;
   }
 }
 
@@ -945,6 +1015,111 @@ TEST(CandidateIndex, SharedListsMatchThePerUserReferenceOnEveryBranch) {
 }
 
 // --- FrozenScorer ---------------------------------------------------------
+
+TEST(CandidateIndex, AnnListsMatchDirectSearchesInAnyWalkOrder) {
+  // The ANN pass walks users grouped by their profiles' (topic,
+  // discipline) pairs, not in id order. Here consecutive user ids cycle
+  // through the keys, so the walk order differs from id order; every
+  // user's list must still be exactly the window-filtered, sorted hits of
+  // its own search, and the ann.* work counters the sum of those
+  // searches, at any thread count.
+  constexpr size_t kPapers = 240;
+  constexpr size_t kDim = 6;
+  SnapshotData data;
+  data.split_year = 2014;
+  data.interest.ResizeOverwrite(kPapers, kDim);
+  data.influence.ResizeOverwrite(kPapers, kDim);
+  Rng rng(0xA11C0DEULL);
+  for (size_t p = 0; p < kPapers; ++p) {
+    for (size_t j = 0; j < kDim; ++j) {
+      data.interest(p, j) = rng.Uniform(-1.0, 1.0);
+      data.influence(p, j) = rng.Uniform(-1.0, 1.0);
+    }
+    data.years.push_back(2010 + static_cast<int32_t>(p % 9));
+    data.topics.push_back(static_cast<int32_t>(p % 8));
+    data.disciplines.push_back(static_cast<int32_t>(p % 8) / 3);
+  }
+  for (size_t u = 0; u < 96; ++u) {
+    // Papers of topic u % 8, plus one of topic (u / 8) % 8 for every other
+    // user: ids next to each other never share a key.
+    std::vector<int32_t> profile = {static_cast<int32_t>(u % 8),
+                                    static_cast<int32_t>(u % 8 + 8 * (u % 5))};
+    if (u % 2 == 1) profile.push_back(static_cast<int32_t>((u / 8) % 8 + 16));
+    data.profiles.push_back(std::move(profile));
+  }
+  data.profiles[7].clear();  // served by the filtered branch
+  std::vector<int32_t> ids;
+  std::vector<double> flat;
+  for (size_t p = 0; p < kPapers; ++p) {
+    ids.push_back(static_cast<int32_t>(p));
+    flat.insert(flat.end(), data.influence.row_data(p),
+                data.influence.row_data(p) + kDim);
+  }
+  auto built = ann::HnswIndex::Build(ids, flat, kDim, ann::HnswOptions{});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ann::HnswIndex& ann_index = *built.value();
+
+  CandidateIndexOptions options;
+  options.retrieval = RetrievalMode::kAnnEmbedding;
+  options.min_year = data.split_year;
+  options.max_year = 2017;
+  options.ann_candidates = 24;
+  options.ann_ef = 32;
+
+  // The reference: one direct search per user, in id order.
+  std::vector<std::vector<int32_t>> expected(data.profiles.size());
+  ann::SearchStats expected_stats;
+  for (size_t u = 0; u < data.profiles.size(); ++u) {
+    const std::vector<int32_t>& profile = data.profiles[u];
+    if (profile.empty()) continue;
+    std::vector<double> query(kDim, 0.0);
+    for (int32_t pid : profile)
+      for (size_t d = 0; d < kDim; ++d)
+        query[d] += data.interest(static_cast<size_t>(pid), d);
+    const double inv = 1.0 / static_cast<double>(profile.size());
+    for (double& q : query) q *= inv;
+    std::vector<ann::Neighbor> hits;
+    ASSERT_TRUE(ann_index
+                    .Search(query, options.ann_candidates, options.ann_ef,
+                            &hits, &expected_stats)
+                    .ok());
+    for (const ann::Neighbor& hit : hits) {
+      const int32_t year = data.years[static_cast<size_t>(hit.id)];
+      if (year > options.min_year && year <= options.max_year)
+        expected[u].push_back(hit.id);
+    }
+    std::sort(expected[u].begin(), expected[u].end());
+    ASSERT_FALSE(expected[u].empty()) << "user " << u;
+  }
+
+  auto& registry = obs::MetricsRegistry::Global();
+  for (size_t threads : {1u, 2u, 4u}) {
+    par::ScopedNumThreads scoped(threads);
+    const int64_t nodes_before =
+        registry.GetCounter("ann.nodes_visited")->value();
+    const int64_t evals_before =
+        registry.GetCounter("ann.distance_evals")->value();
+    const CandidateIndex index(data, options, &ann_index);
+    EXPECT_EQ(registry.GetCounter("ann.nodes_visited")->value() - nodes_before,
+              expected_stats.nodes_visited)
+        << threads << " threads";
+    EXPECT_EQ(
+        registry.GetCounter("ann.distance_evals")->value() - evals_before,
+        expected_stats.distance_evals)
+        << threads << " threads";
+    for (size_t u = 0; u < data.profiles.size(); ++u) {
+      const auto user = static_cast<int32_t>(u);
+      if (data.profiles[u].empty()) {
+        EXPECT_NE(index.SourceFor(user), CandidateSource::kAnnEmbedding);
+        continue;
+      }
+      EXPECT_EQ(index.SourceFor(user), CandidateSource::kAnnEmbedding)
+          << "user " << u;
+      EXPECT_EQ(index.CandidatesFor(user), expected[u])
+          << "user " << u << ", " << threads << " threads";
+    }
+  }
+}
 
 TEST(FrozenScorer, TopNIsSortedAndDeterministic) {
   FrozenScorer scorer(TinyData());
@@ -1705,6 +1880,34 @@ TEST_F(ServiceTest, SwapInvalidatesCacheAndBumpsGeneration) {
   ASSERT_EQ(after.items.size(), before.items.size());
   for (size_t i = 0; i < after.items.size(); ++i)
     EXPECT_EQ(after.items[i].score, before.items[i].score);
+}
+
+TEST_F(ServiceTest, SwapDropsTheOldGenerationOutsideTheStateLock) {
+  // Freeing a generation's slabs takes milliseconds at serving scale, and
+  // every request reads state() under the same lock, so Swap must let the
+  // old generation go only after unlocking. Here the outgoing state's
+  // last reference is a probe whose deleter asks state() from another
+  // thread while the old generation is being dropped.
+  RecommendService service(ServeOptions{});
+  Result<std::shared_ptr<const ServingState>> loaded =
+      ServingState::FromSnapshot(TinyData(), {});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::shared_ptr<const ServingState> state = std::move(loaded).value();
+  std::future<std::shared_ptr<const ServingState>> reader;
+  bool answered = false;
+  {
+    const std::shared_ptr<void> probe(nullptr, [&](void*) {
+      reader = std::async(std::launch::async, [&] { return service.state(); });
+      answered = reader.wait_for(std::chrono::seconds(10)) ==
+                 std::future_status::ready;
+    });
+    service.Swap(std::shared_ptr<const ServingState>(probe, state.get()));
+  }
+  EXPECT_FALSE(reader.valid());  // the probe generation is still serving
+  service.Swap(state);
+  ASSERT_TRUE(reader.valid());
+  EXPECT_TRUE(answered) << "state() waited while Swap dropped a generation";
+  EXPECT_EQ(reader.get(), state);
 }
 
 TEST_F(ServiceTest, BatchMatchesIndividualRequests) {
