@@ -25,9 +25,8 @@
 #include "datagen/corpus_generator.h"
 #include "datagen/datasets.h"
 #include "labeling/trainer.h"
-#include "la/ann_kernel.h"
+#include "la/exact_kernel.h"
 #include "la/ops.h"
-#include "la/serve_kernel.h"
 #include "par/parallel.h"
 #include "serve/frozen_scorer.h"
 #include "serve/snapshot.h"
@@ -241,11 +240,12 @@ BENCHMARK(BM_ServeScoreRowsClustered);
 /// The AVX2 kernel, timed directly: every AVX-512 host dispatches past it,
 /// so on those hosts this is the only run it gets.
 void BM_ServeScoreRowsAvx2(benchmark::State& state) {
-  if (!la::internal::ServeKernelAvx2Available()) {
+  const la::internal::ExactKernels* avx2 = la::internal::ExactKernelsAvx2();
+  if (avx2 == nullptr) {
     state.SkipWithError("AVX2 serve kernel not available on this host");
     return;
   }
-  RunScoreRows(state, &la::internal::ServeScoreRowsAvx2, ScoreRows().id_sets);
+  RunScoreRows(state, avx2->score_rows, ScoreRows().id_sets);
 }
 BENCHMARK(BM_ServeScoreRowsAvx2);
 
@@ -366,7 +366,8 @@ BENCHMARK(BM_SnapshotReadFile);
 // set every call.
 
 void BM_AnnDotBatchAvx2(benchmark::State& state) {
-  if (!la::internal::AnnKernelAvx2Available()) {
+  const la::internal::ExactKernels* avx2 = la::internal::ExactKernelsAvx2();
+  if (avx2 == nullptr) {
     state.SkipWithError("AVX2 ANN kernel not available on this host");
     return;
   }
@@ -381,8 +382,7 @@ void BM_AnnDotBatchAvx2(benchmark::State& state) {
   size_t batch = 0;
   for (auto _ : state) {
     const int32_t* ids = nodes.data() + (batch++ % kBatches) * kCount;
-    la::internal::AnnDotBatchAvx2(query.data(), slab.data(), kDim, ids, kCount,
-                                  out.data());
+    avx2->dot_batch(query.data(), slab.data(), kDim, ids, kCount, out.data());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

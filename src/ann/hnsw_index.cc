@@ -7,7 +7,7 @@
 
 #include "common/rng.h"
 #include "common/wire.h"
-#include "la/ann_kernel.h"
+#include "la/exact_kernel.h"
 #include "par/parallel.h"
 
 // Beam search is memory-latency bound: each expansion gathers up to 2M
@@ -71,15 +71,12 @@ void HeapPush(std::vector<T>* heap, const T item, Cmp top_before) {
   v[i] = item;
 }
 
-/// Replaces the top element and restores the heap in one sift-down. For a
-/// full bounded heap this is the same resulting set as push-then-pop when
-/// the new item beats the top (the displaced element is exactly the old
-/// top), at roughly half the sift work.
+/// Puts `item` into hole `i` of the heap and sifts it down: the one
+/// sift-down loop behind HeapReplaceTop, HeapPop and Heapify.
 template <typename T, typename Cmp>
-void HeapReplaceTop(std::vector<T>* heap, const T item, Cmp top_before) {
+void SiftDown(std::vector<T>* heap, size_t i, const T item, Cmp top_before) {
   auto& v = *heap;
   const size_t n = v.size();
-  size_t i = 0;
   for (;;) {
     const size_t c0 = 4 * i + 1;
     if (c0 >= n) break;
@@ -94,26 +91,20 @@ void HeapReplaceTop(std::vector<T>* heap, const T item, Cmp top_before) {
   v[i] = item;
 }
 
+/// Replaces the top element and restores the heap in one sift-down. For a
+/// full bounded heap this is the same resulting set as push-then-pop when
+/// the new item beats the top (the displaced element is exactly the old
+/// top), at roughly half the sift work.
+template <typename T, typename Cmp>
+void HeapReplaceTop(std::vector<T>* heap, const T item, Cmp top_before) {
+  SiftDown(heap, 0, item, top_before);
+}
+
 template <typename T, typename Cmp>
 void HeapPop(std::vector<T>* heap, Cmp top_before) {
-  auto& v = *heap;
-  const T item = v.back();
-  v.pop_back();
-  const size_t n = v.size();
-  if (n == 0) return;
-  size_t i = 0;
-  for (;;) {
-    const size_t c0 = 4 * i + 1;
-    if (c0 >= n) break;
-    size_t m = c0;
-    const size_t end = c0 + 4 < n ? c0 + 4 : n;
-    for (size_t c = c0 + 1; c < end; ++c)
-      if (top_before(v[c], v[m])) m = c;
-    if (!top_before(v[m], item)) break;
-    v[i] = v[m];
-    i = m;
-  }
-  v[i] = item;
+  const T item = heap->back();
+  heap->pop_back();
+  if (!heap->empty()) SiftDown(heap, 0, item, top_before);
 }
 
 /// Floyd bottom-up heapify: O(n) sift-downs, against the O(n log n) full
@@ -124,25 +115,10 @@ void HeapPop(std::vector<T>* heap, Cmp top_before) {
 /// downstream can tell the difference decision-wise.
 template <typename T, typename Cmp>
 void Heapify(std::vector<T>* heap, Cmp top_before) {
-  auto& v = *heap;
-  const size_t n = v.size();
+  const size_t n = heap->size();
   if (n < 2) return;
-  for (size_t i = ((n - 2) >> 2) + 1; i-- > 0;) {
-    const T item = v[i];
-    size_t j = i;
-    for (;;) {
-      const size_t c0 = 4 * j + 1;
-      if (c0 >= n) break;
-      size_t m = c0;
-      const size_t end = c0 + 4 < n ? c0 + 4 : n;
-      for (size_t c = c0 + 1; c < end; ++c)
-        if (top_before(v[c], v[m])) m = c;
-      if (!top_before(v[m], item)) break;
-      v[j] = v[m];
-      j = m;
-    }
-    v[j] = item;
-  }
+  for (size_t i = ((n - 2) >> 2) + 1; i-- > 0;)
+    SiftDown(heap, i, (*heap)[i], top_before);
 }
 
 }  // namespace

@@ -129,9 +129,6 @@ class HnswIndex : public Index {
     std::vector<DistNode> resort;
     std::vector<double> sel_dots;
     void NextEpoch(size_t n);
-    bool Visited(int32_t node) const {
-      return stamp[static_cast<size_t>(node)] == epoch;
-    }
     void Mark(int32_t node) { stamp[static_cast<size_t>(node)] = epoch; }
   };
 

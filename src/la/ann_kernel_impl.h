@@ -1,12 +1,13 @@
 #ifndef SUBREC_LA_ANN_KERNEL_IMPL_H_
 #define SUBREC_LA_ANN_KERNEL_IMPL_H_
 
-// Textual kernel body shared by the per-ISA ANN distance translation units
-// (the same scheme as la/gemm_kernel.h). Each TU defines SUBREC_ANN_NS to a
+// Textual body of the ANN distance batch (la::AnnDotBatch), one of the
+// exact kernels (la/exact_kernel.h), shared the same way as
+// la/gemm_kernel.h. Each exact-kernel TU defines SUBREC_EXACT_NS to a
 // unique namespace before including this header, then gets the identical
-// source compiled under its own ISA flags — ann_kernel.cc: baseline;
-// ann_kernel_avx2.cc: -mavx2; ann_kernel_avx512.cc: -mavx512f; all three
-// with -ffp-contract=off and never -mfma.
+// source compiled under its own ISA flags — exact_kernel.cc: baseline;
+// exact_kernel_avx2.cc: -mavx2; exact_kernel_avx512.cc: -mavx512f; all
+// three with -ffp-contract=off and never -mfma.
 //
 // Layout: one CANDIDATE per vector lane. A group of L candidate rows is
 // walked in ascending-d order, so each lane performs the exact
@@ -31,18 +32,16 @@
 #include <cstddef>
 #include <cstdint>
 
-#ifndef SUBREC_ANN_NS
-#error "define SUBREC_ANN_NS before including la/ann_kernel_impl.h"
+#ifndef SUBREC_EXACT_NS
+#error "define SUBREC_EXACT_NS before including la/ann_kernel_impl.h"
 #endif
 
 // Vec4 / Vec8 and their in-register Transpose, compiled into this TU's
 // namespace.
-#define SUBREC_TRANSPOSE_NS SUBREC_ANN_NS
 #include "la/transpose_kernel.h"  // NOLINT(build/include)
-#undef SUBREC_TRANSPOSE_NS
 
 namespace subrec::la::internal {
-namespace SUBREC_ANN_NS {
+namespace SUBREC_EXACT_NS {
 
 #if SUBREC_TRANSPOSE_VECTOR_OK
 
@@ -118,7 +117,7 @@ inline void DotBatch(const double* query, const double* slab, size_t dim,
     out[i] = DotOne(query, slab + static_cast<size_t>(nodes[i]) * dim, dim);
 }
 
-}  // namespace SUBREC_ANN_NS
+}  // namespace SUBREC_EXACT_NS
 }  // namespace subrec::la::internal
 
 #endif  // SUBREC_LA_ANN_KERNEL_IMPL_H_

@@ -1,6 +1,7 @@
 #include "la/gemm.h"
 
 #include <cstddef>
+#include <vector>
 
 #define SUBREC_GEMM_NS gemm_generic
 #include "la/gemm_kernel.h"  // NOLINT(build/include)
@@ -8,10 +9,14 @@
 
 namespace subrec::la::internal {
 
-void GemmRowRangeGeneric(const double* a, size_t lda, const double* b,
-                         size_t ldb, double* c, size_t ldc, size_t row0,
-                         size_t row_end, size_t k, size_t n) {
-  gemm_generic::GemmRowBlock(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
+const std::vector<GemmRowRangeFn>& GemmKernelList() {
+  static const std::vector<GemmRowRangeFn> list = [] {
+    std::vector<GemmRowRangeFn> kernels = {gemm_generic::GemmRowBlock};
+    for (GemmRowRangeFn fn : {GemmKernelAvx2(), GemmKernelAvx512()})
+      if (fn != nullptr) kernels.push_back(fn);
+    return kernels;
+  }();
+  return list;
 }
 
 }  // namespace subrec::la::internal

@@ -1,10 +1,8 @@
 // Compiled with -mavx2 -mfma on x86-64 GNU/Clang builds (see
-// src/CMakeLists.txt); anywhere else it degrades to the generic kernel
-// and GemmAvx2Available() reports false so nothing dispatches here.
+// src/CMakeLists.txt); anywhere else it has no kernel and
+// GemmKernelAvx2() returns null.
 
 #include "la/gemm.h"
-
-#include <cstddef>
 
 #if defined(__AVX2__) && defined(__FMA__)
 
@@ -14,14 +12,10 @@
 
 namespace subrec::la::internal {
 
-void GemmRowRangeAvx2(const double* a, size_t lda, const double* b,
-                      size_t ldb, double* c, size_t ldc, size_t row0,
-                      size_t row_end, size_t k, size_t n) {
-  gemm_avx2::GemmRowBlock(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
-}
-
-bool GemmAvx2Available() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+GemmRowRangeFn GemmKernelAvx2() {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
+             ? gemm_avx2::GemmRowBlock
+             : nullptr;
 }
 
 }  // namespace subrec::la::internal
@@ -30,13 +24,7 @@ bool GemmAvx2Available() {
 
 namespace subrec::la::internal {
 
-void GemmRowRangeAvx2(const double* a, size_t lda, const double* b,
-                      size_t ldb, double* c, size_t ldc, size_t row0,
-                      size_t row_end, size_t k, size_t n) {
-  GemmRowRangeGeneric(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
-}
-
-bool GemmAvx2Available() { return false; }
+GemmRowRangeFn GemmKernelAvx2() { return nullptr; }
 
 }  // namespace subrec::la::internal
 

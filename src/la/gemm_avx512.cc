@@ -1,13 +1,11 @@
 // Compiled with -mavx512f -mfma on x86-64 GNU/Clang builds (see
-// src/CMakeLists.txt); anywhere else it degrades to the AVX2 kernel (which
-// itself degrades to generic) and GemmAvx512Available() reports false so
-// nothing dispatches here. Bit-for-bit identical to the AVX2 kernel: the
-// wider vectors only regroup the lanes of a tile row, every element still
-// sees one fused multiply-add per k step in ascending-k order.
+// src/CMakeLists.txt); anywhere else it has no kernel and
+// GemmKernelAvx512() returns null. Its 4x16 tile is twice the AVX2
+// tile's width, so columns the AVX2 build computes in a fused tile can
+// land in this build's edge loop: the two builds differ in low bits
+// (la/gemm.h).
 
 #include "la/gemm.h"
-
-#include <cstddef>
 
 #if defined(__AVX512F__) && defined(__FMA__)
 
@@ -17,14 +15,10 @@
 
 namespace subrec::la::internal {
 
-void GemmRowRangeAvx512(const double* a, size_t lda, const double* b,
-                        size_t ldb, double* c, size_t ldc, size_t row0,
-                        size_t row_end, size_t k, size_t n) {
-  gemm_avx512::GemmRowBlock(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
-}
-
-bool GemmAvx512Available() {
-  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma");
+GemmRowRangeFn GemmKernelAvx512() {
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma")
+             ? gemm_avx512::GemmRowBlock
+             : nullptr;
 }
 
 }  // namespace subrec::la::internal
@@ -33,13 +27,7 @@ bool GemmAvx512Available() {
 
 namespace subrec::la::internal {
 
-void GemmRowRangeAvx512(const double* a, size_t lda, const double* b,
-                        size_t ldb, double* c, size_t ldc, size_t row0,
-                        size_t row_end, size_t k, size_t n) {
-  GemmRowRangeAvx2(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
-}
-
-bool GemmAvx512Available() { return false; }
+GemmRowRangeFn GemmKernelAvx512() { return nullptr; }
 
 }  // namespace subrec::la::internal
 

@@ -7,10 +7,9 @@
 // (gemm.cc: baseline; gemm_avx2.cc: -mavx2 -mfma; gemm_avx512.cc:
 // -mavx512f -mfma). There are no intrinsics — the tile is expressed with
 // GNU vector types sized to the TU's widest native vector (a plain scalar
-// path covers non-GNU toolchains). The vector width only changes how the
-// kNr columns of a tile row are grouped into registers; it never changes
-// any element's multiply-add sequence, so all three TUs produce identical
-// bits.
+// path covers non-GNU toolchains). The three TUs do not produce identical
+// bits (see below and la/gemm.h); each is deterministic and independent of
+// the thread count.
 
 #include <algorithm>
 #include <cstddef>
@@ -25,13 +24,16 @@ namespace SUBREC_GEMM_NS {
 // 4 x kNr register tile: 8 vector accumulators (two per row) stay live
 // across the whole k loop, so C traffic happens once per tile instead of
 // once per k step, and each loaded B vector serves four output rows.
-// Every C(i,j) element — tile or edge path — receives its k products
-// strictly in ascending-k order, one (possibly fused) multiply-add at a
-// time, which makes the result independent of how rows are grouped or
-// split across threads, and independent of the tile width kNr (which is
-// why the AVX-512 TU may use a wider tile and still match the others
-// bit for bit). kMr is fixed at 4 everywhere: it defines the row-split
-// grid the parallel driver uses.
+// Every C(i,j) element receives its k products in ascending-k order, and
+// whether it sits in a full tile or in the edge loop depends on (i, j)
+// and the shape alone (row ranges start at multiples of kMr), so one TU
+// gives the same bits for any row split across threads. The two paths do
+// not round alike in the FMA TUs: the tile fuses each multiply-add, while
+// GCC 12 compiles the edge loop into pairs of separate multiplies and
+// adds. Since kNr differs between TUs, a column that one TU computes in
+// its tile can fall in another's edge loop, and the TUs then differ in
+// low bits. kMr is fixed at 4 everywhere: it defines the row-split grid
+// the parallel driver uses.
 inline constexpr size_t kMr = 4;
 #if (defined(__GNUC__) || defined(__clang__)) && defined(__AVX512F__)
 inline constexpr size_t kNr = 16;  // two 8-lane vectors per tile row
@@ -193,7 +195,8 @@ inline void GemmRowBlock(const double* a, size_t lda, const double* b,
       if (mr == kMr && nr == kNr) {
         GemmTile(a, lda, b, ldb, c, ldc, i, j, k);
       } else {
-        // Edge tiles: same ascending-k single multiply-add per element.
+        // Edge tiles: ascending k per element, rounded as the compiler
+        // schedules this loop, not necessarily like GemmTile.
         for (size_t r = 0; r < mr; ++r) {
           const double* ar = a + (i + r) * lda;
           double* cr = c + (i + r) * ldc + j;

@@ -21,20 +21,6 @@ constexpr size_t kGemmBlockedMinWork = size_t{32} * 1024;
 constexpr size_t kGemmParallelMinWork = size_t{1} << 21;
 constexpr size_t kGemmChunkWork = size_t{1} << 18;
 
-using GemmFn = void (*)(const double*, size_t, const double*, size_t, double*,
-                        size_t, size_t, size_t, size_t, size_t);
-
-GemmFn ActiveGemm() {
-  // Widest kernel the host supports. All kernels produce identical bits;
-  // see gemm_kernel.h.
-  static const GemmFn fn = internal::GemmAvx512Available()
-                               ? internal::GemmRowRangeAvx512
-                           : internal::GemmAvx2Available()
-                               ? internal::GemmRowRangeAvx2
-                               : internal::GemmRowRangeGeneric;
-  return fn;
-}
-
 // Blocked path body shared by MatMul and the transposed wrappers. `c` must
 // be zero-initialized; all dims are >= 1 here (work >= kGemmBlockedMinWork).
 void BlockedGemm(const Matrix& a, const Matrix& b, Matrix* c) {
@@ -42,7 +28,10 @@ void BlockedGemm(const Matrix& a, const Matrix& b, Matrix* c) {
   const size_t k = a.cols();
   const size_t n = b.cols();
   const size_t work = m * n * k;
-  const GemmFn fn = ActiveGemm();
+  // Widest kernel the host supports. Each gives the same bits for every
+  // thread count, but the builds differ from each other in low bits, so a
+  // blocked product depends on the host's ISA; see la/gemm.h.
+  static const internal::GemmRowRangeFn fn = internal::GemmKernelList().back();
   const size_t blocks = (m + internal::kGemmMr - 1) / internal::kGemmMr;
   size_t grain = blocks;  // single chunk -> runs inline on the caller
   if (work >= kGemmParallelMinWork) {

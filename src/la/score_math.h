@@ -39,7 +39,7 @@ inline uint64_t DoubleToBits(double d) {
 /// then an exact power-of-two scale built from exponent bits. Every step
 /// is a per-element IEEE double op, so a compiler that auto-vectorizes a
 /// loop of ScoreExp calls produces bit-identical lanes (provided FMA
-/// contraction is off in that translation unit — see the serve kernel
+/// contraction is off in that translation unit — see the exact-kernel
 /// TUs' -ffp-contract=off).
 ///
 /// Accuracy: within ~1 ulp of correctly rounded over the clamp range

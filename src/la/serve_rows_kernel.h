@@ -1,12 +1,13 @@
 #ifndef SUBREC_LA_SERVE_ROWS_KERNEL_H_
 #define SUBREC_LA_SERVE_ROWS_KERNEL_H_
 
-// Textual body of the serve scoring kernel (la::ServeScoreRows), shared by
-// the three serve translation units the way la/ann_kernel_impl.h is shared
-// by the ANN ones: serve_kernel.cc (baseline), serve_kernel_avx2.cc
-// (-mavx2) and serve_kernel_avx512.cc (-mavx512f), all with
-// -ffp-contract=off and never -mfma. Each TU defines SUBREC_SERVE_ROWS_NS
-// to a unique namespace before including this header.
+// Textual body of the serve scoring kernel (la::ServeScoreRows) and its
+// epilogue (la::ServeSigmoidMeanColumns), exact kernels
+// (la/exact_kernel.h) shared by the three exact-kernel TUs beside
+// la/ann_kernel_impl.h: exact_kernel.cc (baseline), exact_kernel_avx2.cc
+// (-mavx2) and exact_kernel_avx512.cc (-mavx512f), all with
+// -ffp-contract=off and never -mfma. Each TU defines SUBREC_EXACT_NS to a
+// unique namespace before including this header.
 //
 // Contract: logits[p * ld + j] = la::Dot(profile row p, slab row ids[j]),
 // reading every candidate row where it lives in the slab. The profile
@@ -38,20 +39,19 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "la/serve_kernel.h"
+#include "la/exact_kernel.h"
+#include "la/score_math.h"
 
-#ifndef SUBREC_SERVE_ROWS_NS
-#error "define SUBREC_SERVE_ROWS_NS before including la/serve_rows_kernel.h"
+#ifndef SUBREC_EXACT_NS
+#error "define SUBREC_EXACT_NS before including la/serve_rows_kernel.h"
 #endif
 
 // Vec4 / Vec8, their unaligned loads and stores and their in-register
 // Transpose, compiled into this TU's namespace.
-#define SUBREC_TRANSPOSE_NS SUBREC_SERVE_ROWS_NS
 #include "la/transpose_kernel.h"  // NOLINT(build/include)
-#undef SUBREC_TRANSPOSE_NS
 
 namespace subrec::la::internal {
-namespace SUBREC_SERVE_ROWS_NS {
+namespace SUBREC_EXACT_NS {
 
 /// How many candidate rows ahead of the current one are prefetched.
 /// Scratch microbenchmark on a 4-vCPU AVX-512 Xeon (model 143, GCC 12.2)
@@ -169,7 +169,22 @@ inline void ScoreRows(const double* pt, size_t m, const double* slab,
   }
 }
 
-}  // namespace SUBREC_SERVE_ROWS_NS
+/// The epilogue: ScoreSigmoid is a branch-free per-element sequence and
+/// contraction is off, so the compiler may vectorize across columns (it
+/// does, with gathers for the exp table) without changing any element's
+/// bits, only how many columns advance per iteration.
+inline void SigmoidMeanColumns(const double* logits, size_t ld, size_t m,
+                               size_t n, double denom, double* out) {
+  for (size_t j = 0; j < n; ++j) out[j] = 0.0;
+  for (size_t p = 0; p < m; ++p) {
+    const double* row = logits + p * ld;
+    for (size_t j = 0; j < n; ++j) out[j] += ScoreSigmoid(row[j]);
+  }
+  if (m == 0) return;
+  for (size_t j = 0; j < n; ++j) out[j] /= denom;
+}
+
+}  // namespace SUBREC_EXACT_NS
 }  // namespace subrec::la::internal
 
 #endif  // SUBREC_LA_SERVE_ROWS_KERNEL_H_

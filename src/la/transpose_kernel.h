@@ -1,20 +1,21 @@
 #ifndef SUBREC_LA_TRANSPOSE_KERNEL_H_
 #define SUBREC_LA_TRANSPOSE_KERNEL_H_
 
-// Textual lane-transpose kernels shared by the per-ISA ANN distance TUs
-// (through la/ann_kernel_impl.h) and the serve TUs (through
-// la/serve_rows_kernel.h), the same scheme as la/gemm_kernel.h. Each
-// includer defines SUBREC_TRANSPOSE_NS to a unique namespace first, so
-// every TU compiles its own copy under its own ISA flags and no inline
-// definition is shared across TUs built for different ISAs.
+// Textual lane-transpose kernels shared by the ANN distance batch
+// (la/ann_kernel_impl.h) and the serve scoring kernel
+// (la/serve_rows_kernel.h), the same scheme as la/gemm_kernel.h. Each
+// exact-kernel TU (la/exact_kernel.h) defines SUBREC_EXACT_NS to a unique
+// namespace first, so every TU compiles its own copy under its own ISA
+// flags and no inline definition is shared across TUs built for
+// different ISAs.
 //
 // Everything here is a lane permutation or a copy — no arithmetic, so no
 // rounding anywhere, and every ISA moves identical bits.
 
 #include <cstddef>
 
-#ifndef SUBREC_TRANSPOSE_NS
-#error "define SUBREC_TRANSPOSE_NS before including la/transpose_kernel.h"
+#ifndef SUBREC_EXACT_NS
+#error "define SUBREC_EXACT_NS before including la/transpose_kernel.h"
 #endif
 
 // __builtin_shufflevector: clang always; GCC since 12. Without it there is
@@ -27,7 +28,7 @@
 #endif
 
 namespace subrec::la::internal {
-namespace SUBREC_TRANSPOSE_NS {
+namespace SUBREC_EXACT_NS {
 
 #if SUBREC_TRANSPOSE_VECTOR_OK
 
@@ -111,7 +112,7 @@ inline void StoreUnaligned(const Vec4& v, double* p) {
 
 #endif  // SUBREC_TRANSPOSE_VECTOR_OK
 
-}  // namespace SUBREC_TRANSPOSE_NS
+}  // namespace SUBREC_EXACT_NS
 }  // namespace subrec::la::internal
 
 #endif  // SUBREC_LA_TRANSPOSE_KERNEL_H_

@@ -1,7 +1,7 @@
 // Carry-less-multiply CRC-32 TU: compiled with -mpclmul -msse4.1 on x86-64
 // GNU/Clang builds (src/CMakeLists.txt), and picked at run time by
-// Crc32Update only when the CPU reports both. Anywhere else it degrades to
-// the table kernel and Crc32FoldAvailable() reports false.
+// Crc32Update only when the CPU reports both. Anywhere else it has no
+// kernel and Crc32FoldKernel() returns null.
 //
 // The fold follows Gopal et al., "Fast CRC Computation for Generic
 // Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in the
@@ -22,6 +22,7 @@
 #include <immintrin.h>
 
 namespace subrec::serve::internal {
+namespace {
 
 uint32_t Crc32Fold(uint32_t reg, const unsigned char* p, size_t n) {
   // Each constant is x^e mod P, bit-reflected and shifted left by one:
@@ -74,8 +75,12 @@ uint32_t Crc32Fold(uint32_t reg, const unsigned char* p, size_t n) {
   return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
 }
 
-bool Crc32FoldAvailable() {
-  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+}  // namespace
+
+Crc32FoldFn Crc32FoldKernel() {
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")
+             ? Crc32Fold
+             : nullptr;
 }
 
 }  // namespace subrec::serve::internal
@@ -84,11 +89,7 @@ bool Crc32FoldAvailable() {
 
 namespace subrec::serve::internal {
 
-uint32_t Crc32Fold(uint32_t reg, const unsigned char* p, size_t n) {
-  return Crc32Tables(reg, p, n);
-}
-
-bool Crc32FoldAvailable() { return false; }
+Crc32FoldFn Crc32FoldKernel() { return nullptr; }
 
 }  // namespace subrec::serve::internal
 

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "common/check.h"
+#include "la/exact_kernel.h"
 #include "la/ops.h"
 #include "la/score_math.h"
-#include "la/serve_kernel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -143,16 +143,13 @@ bool Better(const ScoredPaper& a, const ScoredPaper& b) {
 }  // namespace
 
 FrozenScorer::FrozenScorer(const SnapshotData& data)
-    : interest_(data.interest),
-      influence_(data.influence),
-      text_(data.text) {
+    : interest_(data.interest), influence_(data.influence) {
   LayOutInfluenceRows(data.disciplines, data.topics);
 }
 
 FrozenScorer::FrozenScorer(SnapshotData&& data)
     : interest_(std::move(data.interest)),
-      influence_(std::move(data.influence)),
-      text_(std::move(data.text)) {
+      influence_(std::move(data.influence)) {
   LayOutInfluenceRows(data.disciplines, data.topics);
 }
 
@@ -161,7 +158,6 @@ void FrozenScorer::LayOutInfluenceRows(const std::vector<int32_t>& disciplines,
   SUBREC_CHECK_EQ(interest_.rows(), influence_.rows());
   SUBREC_CHECK(interest_.rows() == 0 ||
                interest_.cols() == influence_.cols());
-  SUBREC_CHECK(text_.empty() || text_.rows() == interest_.rows());
   row_of_ = GroupedRows(disciplines, topics, influence_.rows());
   PermuteRows(row_of_, &influence_);
 }
@@ -397,13 +393,6 @@ void FrozenScorer::TopNInto(const std::vector<int32_t>& profile,
   const size_t keep =
       std::min(candidates.size(), static_cast<size_t>(n < 0 ? 0 : n));
   SelectTopN(candidates, *scores, keep, out);
-}
-
-std::vector<double> FrozenScorer::TextVector(int32_t p) const {
-  if (text_.empty()) return {};
-  SUBREC_DCHECK_GE(p, 0);
-  SUBREC_DCHECK_LT(static_cast<size_t>(p), text_.rows());
-  return text_.RowToVector(static_cast<size_t>(p));
 }
 
 }  // namespace subrec::serve

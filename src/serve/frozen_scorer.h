@@ -64,9 +64,10 @@ class FrozenScorer {
   /// Moves the vector slabs out of `data`, avoiding a transient second
   /// copy of the largest allocations in the model, and lays the influence
   /// slab out in place: the layout allocates one row, one bit per paper
-  /// and the map, never a second slab. The attribute arrays
-  /// (years/disciplines/topics/profiles) are left untouched for the
-  /// caller — CandidateIndex consumes those.
+  /// and the map, never a second slab. The text slab, which serving never
+  /// reads, and the attribute arrays (years/disciplines/topics/profiles)
+  /// are left untouched for the caller — CandidateIndex consumes the
+  /// latter.
   explicit FrozenScorer(SnapshotData&& data);
 
   size_t num_papers() const { return interest_.rows(); }
@@ -145,9 +146,6 @@ class FrozenScorer {
                 const std::vector<double>* scores,
                 std::vector<ScoredPaper>* out) const;
 
-  /// Fused text vector c_p; empty when the model ran text-free.
-  std::vector<double> TextVector(int32_t p) const;
-
  private:
   void ScoreInto(const std::vector<int32_t>& profile,
                  const std::vector<int32_t>& candidates,
@@ -178,7 +176,6 @@ class FrozenScorer {
   /// Influence rows grouped by (discipline, topic), groups in order of
   /// first appearance, ascending paper id within a group.
   la::Matrix influence_;
-  la::Matrix text_;
   /// row_of_[paper] is the paper's row in influence_.
   std::vector<int32_t> row_of_;
 };

@@ -92,8 +92,9 @@ Result<std::shared_ptr<const ServingState>> ServingState::FromSnapshot(
         "index (freeze with build_ann_index)");
   }
   // Build the index first (it reads only the attribute arrays), pull the
-  // small members out, then let FrozenScorer move the three big matrices
-  // instead of copying them — snapshot load never doubles peak memory.
+  // small members out, then let FrozenScorer move the two big matrices it
+  // reads instead of copying them — snapshot load never doubles peak
+  // memory. The text slab, which serving never reads, dies with `data`.
   CandidateIndex index = [&] {
     SUBREC_TRACE_SPAN("serve/candidate_index");
     return CandidateIndex(data, index_options, ann_index.get());

@@ -528,15 +528,15 @@ uint32_t Crc32Tables(uint32_t reg, const unsigned char* p, size_t n) {
 }  // namespace internal
 
 uint32_t Crc32Update(uint32_t crc, std::string_view data) {
-  static const bool fold = internal::Crc32FoldAvailable();
+  static const internal::Crc32FoldFn fold = internal::Crc32FoldKernel();
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   size_t n = data.size();
   uint32_t reg = ~crc;
   // The fold takes whole 16-byte blocks, at least four; the tables take
   // the tail and anything shorter.
-  if (fold && n >= 64) {
+  if (fold != nullptr && n >= 64) {
     const size_t blocks = n & ~size_t{15};
-    reg = internal::Crc32Fold(reg, p, blocks);
+    reg = fold(reg, p, blocks);
     p += blocks;
     n -= blocks;
   }

@@ -63,11 +63,12 @@ namespace internal {
 /// Slicing-by-8 tables: any length, any host.
 uint32_t Crc32Tables(uint32_t reg, const unsigned char* p, size_t n);
 /// Carry-less-multiply folding (serve/crc32_fold.cc): `n` >= 64 and a
-/// multiple of 16. Runs the table kernel where the build has no PCLMULQDQ.
-uint32_t Crc32Fold(uint32_t reg, const unsigned char* p, size_t n);
-/// True when the fold TU was compiled with PCLMULQDQ and SSE4.1 AND the
-/// running CPU reports both.
-bool Crc32FoldAvailable();
+/// multiple of 16.
+using Crc32FoldFn = uint32_t (*)(uint32_t reg, const unsigned char* p,
+                                 size_t n);
+/// The fold kernel: null when its TU was built without PCLMULQDQ and
+/// SSE4.1 or the running CPU lacks either.
+Crc32FoldFn Crc32FoldKernel();
 
 }  // namespace internal
 

@@ -21,15 +21,6 @@ class SentenceEncoder {
 
   /// Embeds one sentence. Must return a vector of exactly dim() entries.
   virtual std::vector<double> Encode(const std::string& sentence) const = 0;
-
-  /// Embeds each sentence of an abstract.
-  std::vector<std::vector<double>> EncodeAll(
-      const std::vector<std::string>& sentences) const {
-    std::vector<std::vector<double>> out;
-    out.reserve(sentences.size());
-    for (const auto& s : sentences) out.push_back(Encode(s));
-    return out;
-  }
 };
 
 }  // namespace subrec::text

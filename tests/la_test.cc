@@ -4,17 +4,19 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "la/ann_kernel.h"
+#include "la/exact_kernel.h"
+#include "la/gemm.h"
 #include "la/matrix.h"
 #include "la/ops.h"
 #include "la/score_math.h"
-#include "la/serve_kernel.h"
 #include "par/parallel.h"
+#include "serve/snapshot.h"
 
 namespace subrec::la {
 namespace {
@@ -192,7 +194,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatMulShapes,
 
 // ---- Blocked GEMM: the cache-blocked/register-tiled path kicks in above
 // a work cutoff; validate it against the naive triple loop on shapes that
-// straddle the cutoff, including odd sizes that exercise the edge tiles.
+// straddle the cutoff, including odd sizes that exercise the edge tiles,
+// through the dispatched path and through every GEMM build this host can
+// run (the builds differ in low bits; see la/gemm.h).
 
 Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
@@ -222,6 +226,13 @@ TEST_P(BlockedGemmShapes, MatchesNaiveReference) {
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(ta[i], ref[i], 1e-9);
     EXPECT_NEAR(tb[i], ref[i], 1e-9);
+  }
+  const auto& builds = internal::GemmKernelList();
+  for (size_t build = 0; build < builds.size(); ++build) {
+    Matrix cb(m, n);
+    builds[build](a.data(), k, b.data(), n, cb.data(), n, 0, m, k, n);
+    for (size_t i = 0; i < cb.size(); ++i)
+      ASSERT_NEAR(cb[i], ref[i], 1e-9) << "build " << build << " entry " << i;
   }
 }
 
@@ -375,23 +386,21 @@ TEST(ServeKernel, GemmIsBitIdenticalToScalarDot) {
   // The whole batched-scorer determinism argument rests on this: every
   // logit ServeScoreRows writes must be EXACTLY la::Dot of its profile row
   // and candidate row, for every kernel this host can run (the dispatched
-  // one first, then each directly). Dims sweep the scalar loops, profile
-  // rows sweep the 4- and 8-lane halves and the 8-row blocks of stacked
-  // requests, counts sweep the 4- and 8-candidate blocks and their scalar
-  // tails. Ids are scattered, repeat, and include the slab's last row, and
-  // the id list runs past `count` (prefetched, not scored), so an
-  // over-wide read runs off the end under ASan. Nothing outside the m x
-  // count logits may be written: neither the gap column before the next
-  // row (ld = count + 1) nor a guard band that covers every padding row.
+  // one first, then each build in the exact-kernel list). Dims sweep the
+  // scalar loops, profile rows sweep the 4- and 8-lane halves and the
+  // 8-row blocks of stacked requests, counts sweep the 4- and 8-candidate
+  // blocks and their scalar tails. Ids are scattered, repeat, and include
+  // the slab's last row, and the id list runs past `count` (prefetched,
+  // not scored), so an over-wide read runs off the end under ASan. Nothing
+  // outside the m x count logits may be written: neither the gap column
+  // before the next row (ld = count + 1) nor a guard band that covers
+  // every padding row.
   using Kernel = void (*)(const double*, size_t, const double*, size_t,
                           const int32_t*, size_t, size_t, double*, size_t);
   std::vector<std::pair<const char*, Kernel>> kernels = {
-      {"dispatched", &ServeScoreRows},
-      {"generic", &internal::ServeScoreRowsGeneric}};
-  if (internal::ServeKernelAvx2Available())
-    kernels.emplace_back("avx2", &internal::ServeScoreRowsAvx2);
-  if (internal::ServeKernelAvx512Available())
-    kernels.emplace_back("avx512", &internal::ServeScoreRowsAvx512);
+      {"dispatched", &ServeScoreRows}};
+  for (const internal::ExactKernels* build : internal::ExactKernelList())
+    kernels.emplace_back(build->name, build->score_rows);
 
   constexpr size_t kRows = 37;
   constexpr size_t kPastCount = 20;
@@ -456,11 +465,9 @@ TEST(AnnKernel, DotBatchIsBitIdenticalToScalarDot) {
   using Kernel = void (*)(const double*, const double*, size_t,
                           const int32_t*, size_t, double*);
   std::vector<std::pair<const char*, Kernel>> kernels = {
-      {"dispatched", &AnnDotBatch}, {"generic", &internal::AnnDotBatchGeneric}};
-  if (internal::AnnKernelAvx2Available())
-    kernels.emplace_back("avx2", &internal::AnnDotBatchAvx2);
-  if (internal::AnnKernelAvx512Available())
-    kernels.emplace_back("avx512", &internal::AnnDotBatchAvx512);
+      {"dispatched", &AnnDotBatch}};
+  for (const internal::ExactKernels* build : internal::ExactKernelList())
+    kernels.emplace_back(build->name, build->dot_batch);
   for (const auto& [name, kernel] : kernels) {
     Rng rng(13);
     for (const size_t dim : {1u, 3u, 4u, 7u, 8u, 11u, 16u, 24u, 48u, 50u}) {
@@ -490,25 +497,57 @@ TEST(AnnKernel, DotBatchIsBitIdenticalToScalarDot) {
 
 TEST(ServeKernel, SigmoidMeanColumnsIsBitIdenticalToScalarLoop) {
   // Vectorized epilogue vs the oracle's ascending-profile accumulate +
-  // divide. Widths around the SIMD register boundaries catch remainder
-  // lanes; the divide (never a reciprocal multiply) is what keeps
-  // non-power-of-two profile sizes exact.
-  Rng rng(12);
-  for (const size_t m : {1u, 3u, 7u}) {
-    for (const size_t n : {1u, 4u, 8u, 9u, 15u, 16u, 17u, 64u, 100u}) {
-      std::vector<double> logits(m * n), got(n);
-      for (double& x : logits) x = rng.Uniform(-30.0, 30.0);
-      ServeSigmoidMeanColumns(logits.data(), n, m, n,
-                              static_cast<double>(m), got.data());
-      for (size_t j = 0; j < n; ++j) {
-        double total = 0.0;
-        for (size_t i = 0; i < m; ++i)
-          total += ScoreSigmoid(logits[i * n + j]);
-        ASSERT_EQ(got[j], total / static_cast<double>(m))
-            << m << "x" << n << " column " << j;
+  // divide, dispatched and for every build in the exact-kernel list.
+  // Widths around the SIMD register boundaries catch remainder lanes; the
+  // divide (never a reciprocal multiply) is what keeps non-power-of-two
+  // profile sizes exact.
+  using Epilogue = void (*)(const double*, size_t, size_t, size_t, double,
+                            double*);
+  std::vector<std::pair<const char*, Epilogue>> epilogues = {
+      {"dispatched", &ServeSigmoidMeanColumns}};
+  for (const internal::ExactKernels* build : internal::ExactKernelList())
+    epilogues.emplace_back(build->name, build->sigmoid_mean_columns);
+  for (const auto& [name, epilogue] : epilogues) {
+    Rng rng(12);
+    for (const size_t m : {1u, 3u, 7u}) {
+      for (const size_t n : {1u, 4u, 8u, 9u, 15u, 16u, 17u, 64u, 100u}) {
+        std::vector<double> logits(m * n), got(n);
+        for (double& x : logits) x = rng.Uniform(-30.0, 30.0);
+        epilogue(logits.data(), n, m, n, static_cast<double>(m), got.data());
+        for (size_t j = 0; j < n; ++j) {
+          double total = 0.0;
+          for (size_t i = 0; i < m; ++i)
+            total += ScoreSigmoid(logits[i * n + j]);
+          ASSERT_EQ(got[j], total / static_cast<double>(m))
+              << name << " " << m << "x" << n << " column " << j;
+        }
       }
     }
   }
+}
+
+TEST(KernelGetters, ReturnTheirBuildExactlyWhereTheCpuReportsItsIsa) {
+  // src/CMakeLists.txt gives the vector TUs their ISA flags in x86-64
+  // GNU/Clang builds, and each getter must then return its build exactly
+  // when the CPU reports the ISA. A getter that wrongly returned null
+  // would drop its build from dispatch and from every sweep above, and
+  // nothing else would notice.
+  bool avx2 = false, avx512 = false, fma = false, pclmul = false;
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
+  avx2 = __builtin_cpu_supports("avx2");
+  avx512 = __builtin_cpu_supports("avx512f");
+  fma = __builtin_cpu_supports("fma");
+  pclmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#endif
+  std::vector<std::string> names, want = {"generic"};
+  for (const internal::ExactKernels* build : internal::ExactKernelList())
+    names.emplace_back(build->name);
+  if (avx2) want.emplace_back("avx2");
+  if (avx512) want.emplace_back("avx512");
+  EXPECT_EQ(names, want);
+  EXPECT_EQ(internal::GemmKernelAvx2() != nullptr, avx2 && fma);
+  EXPECT_EQ(internal::GemmKernelAvx512() != nullptr, avx512 && fma);
+  EXPECT_EQ(serve::internal::Crc32FoldKernel() != nullptr, pclmul);
 }
 
 }  // namespace

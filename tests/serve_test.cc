@@ -199,7 +199,8 @@ TEST(Crc32, IncrementalUpdatesMatchOneShotAtEverySplit) {
 }
 
 TEST(Crc32, FoldKernelMatchesTableKernelWhereTheHostHasPclmul) {
-  if (!internal::Crc32FoldAvailable())
+  const internal::Crc32FoldFn fold = internal::Crc32FoldKernel();
+  if (fold == nullptr)
     GTEST_SKIP() << "no PCLMULQDQ in this build or on this CPU";
   Rng rng(0xF01DULL);
   std::string buffer(4096 + 15, '\0');
@@ -210,7 +211,7 @@ TEST(Crc32, FoldKernelMatchesTableKernelWhereTheHostHasPclmul) {
   for (size_t offset : {0u, 1u, 7u, 15u}) {
     for (size_t n = 64; n <= 4096; n += 16) {
       for (uint32_t reg : {0xFFFFFFFFu, 0x12345678u}) {
-        ASSERT_EQ(internal::Crc32Fold(reg, bytes + offset, n),
+        ASSERT_EQ(fold(reg, bytes + offset, n),
                   internal::Crc32Tables(reg, bytes + offset, n))
             << "offset " << offset << " length " << n;
       }
