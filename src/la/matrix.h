@@ -3,7 +3,10 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -107,10 +110,12 @@ class Matrix {
     data_.assign(rows * cols, 0.0);
   }
 
-  /// Resizes to rows x cols without clearing retained entries (grown
-  /// entries are zero); only for callers that overwrite every entry, like
-  /// TransposeInto. In the steady state (same shape as last pass) this is
-  /// free where ResizeZero pays a full memset.
+  /// Resizes to rows x cols without clearing retained entries; grown
+  /// entries are unspecified (never zero-filled). Only for callers that
+  /// overwrite every entry, like TransposeInto and the snapshot decoder:
+  /// growing a fresh slab costs no pass over its memory, and in the steady
+  /// state (same shape as last pass) this is free where ResizeZero pays a
+  /// full memset.
   void ResizeOverwrite(size_t rows, size_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -155,9 +160,31 @@ class Matrix {
   }
 
  private:
+  /// std::allocator, except that the value-initializing construct which
+  /// std::vector::resize calls for each grown entry default-initializes
+  /// it, so ResizeOverwrite never zero-fills. Every construct with a value
+  /// (a fill, a copy) forwards it unchanged.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    using std::allocator<T>::allocator;
+
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 }  // namespace subrec::la

@@ -23,8 +23,8 @@
 // split across lanes and every ISA writes identical bits. An in-register
 // transpose (la/transpose_kernel.h) then turns the L accumulators into
 // L-wide runs of one profile row's logits, which are stored; padded lanes
-// are never stored. Profiles wider than 8 rows (stacked requests) loop
-// over 8-row blocks while the block's candidate rows are still L1-hot.
+// are never stored. Profiles wider than 8 rows loop over 8-row blocks
+// while the block's candidate rows are still L1-hot.
 //
 // The slab is far bigger than L2. FrozenScorer lays its rows out by
 // (discipline, topic), so a filtered list reads one or two ascending runs

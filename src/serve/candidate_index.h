@@ -74,8 +74,7 @@ const char* CandidateSourceName(CandidateSource source);
 ///
 /// A filtered list depends only on the profile's distinct topic and
 /// discipline ids, so each distinct set is built once and every user
-/// holding it shares the one list (the same address, which lets the
-/// service stack their requests into one scoring pass). Empty-profile,
+/// holding it shares the one list (the same address). Empty-profile,
 /// fallback and unknown users all share the full new-paper pool; ANN
 /// users keep one list each.
 class CandidateIndex {

@@ -15,8 +15,8 @@ namespace subrec::serve {
 namespace {
 
 /// Candidate-tile bounds for the batched path. The kernel reads candidate
-/// rows in place, so the tile bounds only the logits block (stacked profile
-/// rows x tile doubles) that the kernel writes and the epilogue reads back:
+/// rows in place, so the tile bounds only the logits block (profile rows x
+/// tile doubles) that the kernel writes and the epilogue reads back:
 /// ScoreTileWidth keeps it within kLogitsTileBytes, L1-sized. The floor
 /// keeps the vectorized epilogue's rows long enough to amortize its
 /// exp-table gathers.
@@ -39,7 +39,7 @@ size_t ScoreTileWidth(size_t rows) {
 /// steady-state scoring loop performs zero heap allocations — asserted by
 /// the counting-allocator probe in the observability tests.
 struct ServeScratch {
-  std::vector<double> packed;  // stacked profile interest rows, transposed
+  std::vector<double> packed;  // profile interest rows, transposed
   std::vector<int32_t> rows;   // the candidate list mapped to slab rows
   std::vector<double> logits;  // kernel output block, one tile wide
   std::vector<double> scores;  // per-request scores (TopN convenience path)
@@ -206,60 +206,37 @@ void FrozenScorer::ScoreBatchInto(const std::vector<int32_t>& profile,
                                   const std::vector<int32_t>& candidates,
                                   std::vector<double>* scores,
                                   ScoreBatchStats* stats) const {
-  const StackedRequest one{&profile, scores};
-  ScoreStackedCore(&one, 1, candidates, stats);
-}
-
-void FrozenScorer::ScoreStackedInto(const std::vector<StackedRequest>& requests,
-                                    const std::vector<int32_t>& candidates,
-                                    ScoreBatchStats* stats) const {
-  ScoreStackedCore(requests.data(), requests.size(), candidates, stats);
-}
-
-void FrozenScorer::ScoreStackedCore(const StackedRequest* requests,
-                                    size_t count,
-                                    const std::vector<int32_t>& candidates,
-                                    ScoreBatchStats* stats) const {
   const size_t n = candidates.size();
+  const size_t m = profile.size();
   const size_t k = dim();
-  size_t m_total = 0;
-  for (size_t r = 0; r < count; ++r) {
-    SUBREC_DCHECK(requests[r].profile != nullptr);
-    SUBREC_DCHECK(requests[r].scores != nullptr);
-    // Empty-profile segments stay at the zeros written here — same as the
-    // oracle's empty-profile contract.
-    requests[r].scores->assign(n, 0.0);
-    m_total += requests[r].profile->size();
-  }
-  if (n == 0 || m_total == 0) return;
+  // An empty profile stays at the zeros written here — the oracle's
+  // empty-profile contract.
+  scores->assign(n, 0.0);
+  if (n == 0 || m == 0) return;
   // NOTE: k == 0 is NOT an early-out. The oracle scores a degenerate
   // zero-dim model as sigmoid(0) = 0.5 per pair, and the pipeline below
   // reproduces that (the kernel writes +0.0 logits, the epilogue maps them
   // through the same sigmoid and mean).
 
-  const size_t tile = ScoreTileWidth(m_total);
-  const size_t stride = la::ServeProfileStride(m_total);
+  const size_t tile = ScoreTileWidth(m);
+  const size_t stride = la::ServeProfileStride(m);
   ServeScratch& s = Scratch();
   Ensure(&s.packed, k * stride);
-  Ensure(&s.logits, m_total * tile);
+  Ensure(&s.logits, m * tile);
 
-  // Pack every profile's interest rows into one transposed block, column
-  // p = stacked row p, in request order then ascending profile order — the
-  // epilogue's per-segment mean walks rows in exactly the order the oracle
-  // walks the profile. The padding columns up to the stride are zero.
+  // Pack the profile's interest rows into one transposed block, column p =
+  // profile row p — the epilogue's mean walks rows in exactly the order
+  // the oracle walks the profile. The padding columns up to the stride are
+  // zero.
   double* packed = s.packed.data();
-  size_t row = 0;
-  for (size_t r = 0; r < count; ++r) {
-    for (int32_t pid : *requests[r].profile) {
-      SUBREC_DCHECK_GE(pid, 0);
-      SUBREC_DCHECK_LT(static_cast<size_t>(pid), interest_.rows());
-      const double* v = interest_.row_data(static_cast<size_t>(pid));
-      for (size_t d = 0; d < k; ++d) packed[d * stride + row] = v[d];
-      ++row;
-    }
+  for (size_t p = 0; p < m; ++p) {
+    SUBREC_DCHECK_GE(profile[p], 0);
+    SUBREC_DCHECK_LT(static_cast<size_t>(profile[p]), interest_.rows());
+    const double* v = interest_.row_data(static_cast<size_t>(profile[p]));
+    for (size_t d = 0; d < k; ++d) packed[d * stride + p] = v[d];
   }
   for (size_t d = 0; d < k; ++d)
-    for (size_t p = m_total; p < stride; ++p) packed[d * stride + p] = 0.0;
+    for (size_t p = m; p < stride; ++p) packed[d * stride + p] = 0.0;
 
   // Map the whole list to slab rows once, so the kernel's prefetch
   // across tile boundaries reads mapped rows too.
@@ -277,19 +254,11 @@ void FrozenScorer::ScoreStackedCore(const StackedRequest* requests,
     const int64_t t0 = timed ? obs::NowNs() : 0;
     // The rest of the list past this tile is readable: the kernel
     // prefetches across the tile boundary.
-    la::ServeScoreRows(packed, m_total, influence_.data(), k, rows + j0, tw,
-                       n - j0, s.logits.data(), tw);
+    la::ServeScoreRows(packed, m, influence_.data(), k, rows + j0, tw, n - j0,
+                       s.logits.data(), tw);
     const int64_t t1 = timed ? obs::NowNs() : 0;
-    size_t row0 = 0;
-    for (size_t r = 0; r < count; ++r) {
-      const size_t m = requests[r].profile->size();
-      if (m > 0) {
-        la::ServeSigmoidMeanColumns(s.logits.data() + row0 * tw, tw, m, tw,
-                                    static_cast<double>(m),
-                                    requests[r].scores->data() + j0);
-      }
-      row0 += m;
-    }
+    la::ServeSigmoidMeanColumns(s.logits.data(), tw, m, tw,
+                                static_cast<double>(m), scores->data() + j0);
     if (timed) {
       const int64_t t2 = obs::NowNs();
       stats->gemm_ns += t1 - t0;
@@ -357,8 +326,6 @@ void FrozenScorer::TopNInto(const std::vector<int32_t>& profile,
       obs::MetricsRegistry::Global().GetCounter("serve.score.requests.pairwise");
   static obs::Counter* const gemm_requests =
       obs::MetricsRegistry::Global().GetCounter("serve.score.requests.gemm");
-  static obs::Counter* const prescored_requests =
-      obs::MetricsRegistry::Global().GetCounter("serve.score.requests.stacked");
   static obs::Counter* const pairs_scored =
       obs::MetricsRegistry::Global().GetCounter("serve.score.pairs");
 
@@ -383,11 +350,6 @@ void FrozenScorer::TopNInto(const std::vector<int32_t>& profile,
       }
     }
     scores = &s.scores;
-  } else {
-    // Stacked path: scoring already happened (and was counted) in
-    // RecommendService::TopNBatch; only selection remains.
-    prescored_requests->Increment();
-    SUBREC_DCHECK_EQ(scores->size(), candidates.size());
   }
   obs::StageTimer timer(trace, obs::Stage::kSelect);
   const size_t keep =

@@ -100,26 +100,6 @@ class FrozenScorer {
                       std::vector<double>* scores,
                       ScoreBatchStats* stats) const;
 
-  /// One user's slice of a stacked multi-request scoring pass.
-  struct StackedRequest {
-    /// The user's profile (interest row ids). May be empty: scores zero.
-    const std::vector<int32_t>* profile = nullptr;
-    /// Output, resized to candidates.size() capacity-preservingly.
-    std::vector<double>* scores = nullptr;
-  };
-
-  /// Scores several profiles against ONE shared candidate list in a
-  /// single pass: all profiles stack into one packed block, each
-  /// candidate row is read once per tile for all of them, and the
-  /// epilogue reduces each user's row segment independently (ascending
-  /// profile order within the segment). Each user's scores are bit-exact
-  /// against their solo Score()/ScoreBatch(). This is the coalesced path
-  /// RecommendService::TopNBatch takes when queued requests share a
-  /// candidate list.
-  void ScoreStackedInto(const std::vector<StackedRequest>& requests,
-                        const std::vector<int32_t>& candidates,
-                        ScoreBatchStats* stats) const;
-
   /// The top `n` candidates by score, descending; ties break toward the
   /// lower paper id so rankings are deterministic across runs.
   std::vector<ScoredPaper> TopN(const std::vector<int32_t>& profile,
@@ -138,8 +118,9 @@ class FrozenScorer {
   /// per-thread scratch, precomputed `scores` == nullptr and sufficient
   /// `out` capacity, the steady-state call performs zero heap allocations
   /// (asserted by the counting-allocator probe in tests). When `scores`
-  /// is non-null it must hold candidates.size() precomputed scores (the
-  /// stacked path) and the scoring stage is skipped.
+  /// is non-null it must hold candidates.size() precomputed scores, for a
+  /// caller that times scoring and selection apart, and only selection
+  /// runs.
   void TopNInto(const std::vector<int32_t>& profile,
                 const std::vector<int32_t>& candidates, int n,
                 ScorerMode mode, obs::RequestTrace* trace,
@@ -150,13 +131,6 @@ class FrozenScorer {
   void ScoreInto(const std::vector<int32_t>& profile,
                  const std::vector<int32_t>& candidates,
                  std::vector<double>* scores) const;
-
-  /// Shared tile pipeline behind ScoreBatchInto (count == 1) and
-  /// ScoreStackedInto. Raw span so the single-request path needs no
-  /// transient container.
-  void ScoreStackedCore(const StackedRequest* requests, size_t count,
-                        const std::vector<int32_t>& candidates,
-                        ScoreBatchStats* stats) const;
 
   /// Heap-based top-`keep` selection over (candidates[i], scores[i])
   /// preserving the (score desc, id asc) tie contract — same output as

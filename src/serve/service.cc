@@ -13,6 +13,9 @@
 namespace subrec::serve {
 namespace {
 
+/// Requests per SubmitBatch pool task.
+constexpr size_t kChunkSize = 8;
+
 obs::Histogram* LatencyHistogram() {
   static obs::Histogram* const h = obs::MetricsRegistry::Global().GetHistogram(
       "serve.latency_us", {10, 25, 50, 100, 250, 500, 1000, 2500, 5000,
@@ -173,16 +176,6 @@ RecResponse RecommendService::TopN(int32_t user, int n) {
 
 RecResponse RecommendService::TopNInternal(int32_t user, int n,
                                            int64_t submit_ns) {
-  // Generation first, then state — pairs with the store order in Swap.
-  const uint64_t generation = generation_.load();
-  return TopNOnState(user, n, submit_ns, generation, state(),
-                     /*prescored=*/nullptr);
-}
-
-RecResponse RecommendService::TopNOnState(
-    int32_t user, int n, int64_t submit_ns, uint64_t generation,
-    const std::shared_ptr<const ServingState>& state,
-    const std::vector<double>* prescored) {
   static obs::Counter* const requests =
       obs::MetricsRegistry::Global().GetCounter("serve.requests");
   static obs::Counter* const cache_hit_counter =
@@ -190,6 +183,9 @@ RecResponse RecommendService::TopNOnState(
   static obs::Counter* const cache_miss_counter =
       obs::MetricsRegistry::Global().GetCounter("serve.cache_miss");
 
+  // Generation first, then state — pairs with the store order in Swap.
+  const uint64_t generation = generation_.load();
+  const std::shared_ptr<const ServingState> state = this->state();
   RecResponse response;
   response.enqueue_ns = obs::NowNs();
   requests->Increment();
@@ -296,7 +292,7 @@ RecResponse RecommendService::TopNOnState(
       t->candidate_source = CandidateSourceName(source);
     }
     state->scorer.TopNInto(profile, *candidates, n, ScorerMode::kGemm, t,
-                           prescored, &response.items);
+                           /*scores=*/nullptr, &response.items);
   }
   if (cache_) {
     obs::StageTimer timer(t, obs::Stage::kCacheInsert);
@@ -308,88 +304,16 @@ RecResponse RecommendService::TopNOnState(
 
 std::vector<RecResponse> RecommendService::RunChunk(
     const std::vector<RecRequest>& requests, int64_t submit_ns) {
-  static obs::Counter* const stacked_passes =
-      obs::MetricsRegistry::Global().GetCounter("serve.score.stacked_passes");
-  static obs::Counter* const stacked_gemm_ns =
-      obs::MetricsRegistry::Global().GetCounter("serve.score.gemm_ns");
-  static obs::Counter* const stacked_epilogue_ns =
-      obs::MetricsRegistry::Global().GetCounter("serve.score.epilogue_ns");
-
-  // Generation first, then state — pairs with the store order in Swap. One
-  // capture for the whole chunk keeps the coalesced scores and every
-  // member's cache entry consistent with a single generation even if a hot
-  // reload lands mid-chunk.
-  const uint64_t generation = generation_.load();
-  const std::shared_ptr<const ServingState> state = this->state();
-
-  // SUBREC_NESTED_VECTOR_OK(per-request score buffers, ragged by request)
-  std::vector<std::vector<double>> scores(requests.size());
-  std::vector<const std::vector<double>*> prescored(requests.size(), nullptr);
-  if (state != nullptr && requests.size() >= 2) {
-    // Coalescing pre-pass: group the chunk's valid requests by candidate
-    // list (CandidatesFor returns a reference into the immutable state, so
-    // the address is the identity) and score each group of two or more in
-    // one stacked pass — every candidate influence row is then read once
-    // for all of the group's profiles. A member that later turns out to be
-    // a cache hit wastes its slice of the pass; that is a perf tradeoff,
-    // never a correctness one, since TopNOnState still probes the cache
-    // first and prescored scores are bit-identical to what the solo path
-    // would have computed.
-    struct Group {
-      const std::vector<int32_t>* candidates = nullptr;
-      std::vector<size_t> members;
-    };
-    std::vector<Group> groups;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const RecRequest& r = requests[i];
-      if (r.user < 0 || r.n < 0 || r.n >= (1 << 16) ||
-          static_cast<size_t>(r.user) >= state->profiles.size()) {
-        continue;  // TopNOnState rejects it with the right status.
-      }
-      const std::vector<int32_t>& cands = state->index.CandidatesFor(r.user);
-      Group* group = nullptr;
-      for (Group& g : groups) {
-        if (g.candidates == &cands) {
-          group = &g;
-          break;
-        }
-      }
-      if (group == nullptr) {
-        groups.push_back(Group{&cands, {}});
-        group = &groups.back();
-      }
-      group->members.push_back(i);
-    }
-    for (const Group& g : groups) {
-      if (g.members.size() < 2) continue;
-      std::vector<FrozenScorer::StackedRequest> stacked;
-      stacked.reserve(g.members.size());
-      for (size_t i : g.members) {
-        const auto user = static_cast<size_t>(requests[i].user);
-        stacked.push_back({&state->profiles[user], &scores[i]});
-      }
-      ScoreBatchStats stats;
-      state->scorer.ScoreStackedInto(stacked, *g.candidates, &stats);
-      for (size_t i : g.members) prescored[i] = &scores[i];
-      stacked_passes->Increment();
-      stacked_gemm_ns->Increment(stats.gemm_ns);
-      stacked_epilogue_ns->Increment(stats.epilogue_ns);
-    }
-  }
-
   std::vector<RecResponse> out;
   out.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    out.push_back(TopNOnState(requests[i].user, requests[i].n, submit_ns,
-                              generation, state, prescored[i]));
-  }
+  for (const RecRequest& r : requests)
+    out.push_back(TopNInternal(r.user, r.n, submit_ns));
   return out;
 }
 
 std::future<std::vector<RecResponse>> RecommendService::SubmitBatch(
     std::vector<RecRequest> requests) {
-  const size_t batch = options_.batch_size > 0 ? options_.batch_size : 1;
-  const size_t num_chunks = (requests.size() + batch - 1) / batch;
+  const size_t num_chunks = (requests.size() + kChunkSize - 1) / kChunkSize;
   // Captured so sampled traces can attribute enqueue-to-pickup time to the
   // queue stage.
   const int64_t submit_ns = obs::NowNs();
@@ -405,8 +329,8 @@ std::future<std::vector<RecResponse>> RecommendService::SubmitBatch(
   auto chunk_futures = std::make_shared<
       std::vector<std::future<std::vector<RecResponse>>>>();
   chunk_futures->reserve(num_chunks);
-  for (size_t start = 0; start < requests.size(); start += batch) {
-    const size_t end = std::min(requests.size(), start + batch);
+  for (size_t start = 0; start < requests.size(); start += kChunkSize) {
+    const size_t end = std::min(requests.size(), start + kChunkSize);
     std::vector<RecRequest> chunk(
         requests.begin() + static_cast<ptrdiff_t>(start),
         requests.begin() + static_cast<ptrdiff_t>(end));

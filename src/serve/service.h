@@ -52,10 +52,6 @@ struct ServeOptions {
   /// Total entries across all cache shards; 0 disables the result cache.
   size_t cache_capacity = 4096;
   size_t cache_shards = 16;
-  /// Requests grouped into one pool task by SubmitBatch/TopNBatch. A chunk
-  /// coalesces its requests that share a candidate list into one stacked
-  /// scoring pass.
-  size_t batch_size = 8;
   CandidateIndexOptions index;
   /// Serving-path observability (rolling windows, flight recorder, stage
   /// traces). Disabled by default: the only per-request cost is then one
@@ -84,11 +80,12 @@ struct RecResponse {
 };
 
 /// Online top-N recommendation front end: a bounded thread pool executes
-/// batched requests against the current ServingState, memoizing per-user
-/// result lists in a sharded LRU cache. Snapshot swap is one shared_ptr
-/// store under a light mutex — in-flight requests finish on the old
-/// generation, new requests see the new one, and the cache is invalidated
-/// explicitly. Metrics flow through the global obs registry ("serve.*").
+/// batched requests against the current ServingState one at a time,
+/// memoizing per-user result lists in a sharded LRU cache. Snapshot swap is
+/// one shared_ptr store under a light mutex — in-flight requests finish on
+/// the old generation, new requests see the new one, and the cache is
+/// invalidated explicitly. Metrics flow through the global obs registry
+/// ("serve.*").
 class RecommendService {
  public:
   explicit RecommendService(const ServeOptions& options);
@@ -111,8 +108,9 @@ class RecommendService {
   /// Scores one request synchronously on the calling thread. Thread-safe.
   RecResponse TopN(int32_t user, int n);
 
-  /// Enqueues `requests` on the pool as batch_size-grouped tasks; the
+  /// Enqueues `requests` on the pool as tasks of eight requests each; the
   /// future resolves when the whole batch is done, responses in order.
+  /// Each request runs exactly what TopN runs.
   std::future<std::vector<RecResponse>> SubmitBatch(
       std::vector<RecRequest> requests);
 
@@ -132,26 +130,15 @@ class RecommendService {
  private:
   using ResultCache = ShardedLruCache<uint64_t, std::vector<ScoredPaper>>;
 
-  /// Shared request path. `submit_ns` is the SubmitBatch enqueue time for
-  /// queue-stage attribution, or -1 when the caller ran synchronously.
-  /// Captures the current generation + state and delegates to TopNOnState.
+  /// The one request path, behind TopN and every SubmitBatch request.
+  /// `submit_ns` is the SubmitBatch enqueue time for queue-stage
+  /// attribution, or -1 when the caller ran synchronously. Captures the
+  /// generation and then the state (the order pairs with the store order
+  /// in Swap, so a result is never cached under a newer generation than it
+  /// was computed from), probes the cache, and scores only on a miss.
   RecResponse TopNInternal(int32_t user, int n, int64_t submit_ns);
 
-  /// Request path against an already-captured generation + state pair (the
-  /// capture order — generation first — pairs with the store order in
-  /// Swap, so results are never cached under a newer generation than they
-  /// were computed from). `prescored`, when non-null, holds this user's
-  /// scores from a stacked coalesced pass over the SAME state; the scoring
-  /// stage is then skipped and only selection runs.
-  RecResponse TopNOnState(int32_t user, int n, int64_t submit_ns,
-                          uint64_t generation,
-                          const std::shared_ptr<const ServingState>& state,
-                          const std::vector<double>* prescored);
-
-  /// Executes one SubmitBatch chunk: a coalescing pre-pass stacks the
-  /// chunk's cache-key-distinct requests that share a candidate list into
-  /// one ScoreStackedInto pass, then every request runs the normal path
-  /// with its prescored slice.
+  /// Serves one SubmitBatch chunk, request by request, in order.
   std::vector<RecResponse> RunChunk(const std::vector<RecRequest>& requests,
                                     int64_t submit_ns);
 

@@ -388,13 +388,13 @@ TEST(ServeKernel, GemmIsBitIdenticalToScalarDot) {
   // and candidate row, for every kernel this host can run (the dispatched
   // one first, then each build in the exact-kernel list). Dims sweep the
   // scalar loops, profile rows sweep the 4- and 8-lane halves and the
-  // 8-row blocks of stacked requests, counts sweep the 4- and 8-candidate
-  // blocks and their scalar tails. Ids are scattered, repeat, and include
-  // the slab's last row, and the id list runs past `count` (prefetched,
-  // not scored), so an over-wide read runs off the end under ASan. Nothing
-  // outside the m x count logits may be written: neither the gap column
-  // before the next row (ld = count + 1) nor a guard band that covers
-  // every padding row.
+  // 8-row blocks of profiles wider than eight, counts sweep the 4- and
+  // 8-candidate blocks and their scalar tails. Ids are scattered, repeat,
+  // and include the slab's last row, and the id list runs past `count`
+  // (prefetched, not scored), so an over-wide read runs off the end under
+  // ASan. Nothing outside the m x count logits may be written: neither the
+  // gap column before the next row (ld = count + 1) nor a guard band that
+  // covers every padding row.
   using Kernel = void (*)(const double*, size_t, const double*, size_t,
                           const int32_t*, size_t, size_t, double*, size_t);
   std::vector<std::pair<const char*, Kernel>> kernels = {

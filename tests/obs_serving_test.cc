@@ -732,10 +732,6 @@ TEST(ScorerAllocation, SteadyStateScoringLoopIsAllocationFree) {
   std::vector<serve::ScoredPaper> out;
   std::vector<double> scores;
   serve::ScoreBatchStats stats;
-  const std::vector<int32_t> profile2 = {2, 4, 6};
-  std::vector<std::vector<double>> stacked_scores(2);
-  std::vector<serve::FrozenScorer::StackedRequest> stacked = {
-      {&profile, &stacked_scores[0]}, {&profile2, &stacked_scores[1]}};
 
   // Warm-up: primes scratch, counter-registry statics, and capacities.
   for (const auto mode :
@@ -743,7 +739,6 @@ TEST(ScorerAllocation, SteadyStateScoringLoopIsAllocationFree) {
     scorer.TopNInto(profile, candidates, 10, mode, nullptr, nullptr, &out);
   }
   scorer.ScoreBatchInto(profile, candidates, &scores, &stats);
-  scorer.ScoreStackedInto(stacked, candidates, &stats);
 
   const int64_t allocs = CountAllocations([&] {
     for (int i = 0; i < 16; ++i) {
@@ -752,7 +747,6 @@ TEST(ScorerAllocation, SteadyStateScoringLoopIsAllocationFree) {
       scorer.TopNInto(profile, candidates, 10, serve::ScorerMode::kPairwise,
                       nullptr, nullptr, &out);
       scorer.ScoreBatchInto(profile, candidates, &scores, &stats);
-      scorer.ScoreStackedInto(stacked, candidates, &stats);
     }
   });
   EXPECT_EQ(allocs, 0);
@@ -869,36 +863,49 @@ TEST(ServiceObservability, GemmTracesCarryScoreStageBreakdown) {
   ASSERT_TRUE(state.ok()) << state.status().ToString();
   service.Swap(std::move(state).value());
 
-  const auto counters_before =
-      obs::MetricsRegistry::Global().Snapshot().counters;
-  auto value_of = [](const std::map<std::string, int64_t>& counters,
-                     const std::string& name) {
+  auto value_of = [](const std::string& name) {
+    const auto counters = obs::MetricsRegistry::Global().Snapshot().counters;
     const auto it = counters.find(name);
     return it == counters.end() ? int64_t{0} : it->second;
   };
-
-  const serve::RecResponse r = service.TopN(1, 3);
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-
-  const auto counters_after =
-      obs::MetricsRegistry::Global().Snapshot().counters;
-  EXPECT_EQ(value_of(counters_after, "serve.score.requests.gemm"),
-            value_of(counters_before, "serve.score.requests.gemm") + 1);
-  EXPECT_EQ(value_of(counters_after, "serve.score.requests.pairwise"),
-            value_of(counters_before, "serve.score.requests.pairwise"));
-
   // The sampled trace splits the score stage into kernel and epilogue;
   // the breakdown can never exceed the enclosing score stage.
-  const std::vector<obs::RequestTrace> recent =
+  auto expect_score_breakdown = [](const obs::RequestTrace& t) {
+    const int64_t score = t.stage_ns[static_cast<int>(obs::Stage::kScore)];
+    const int64_t sub =
+        t.stage_ns[static_cast<int>(obs::Stage::kScoreGemm)] +
+        t.stage_ns[static_cast<int>(obs::Stage::kScoreEpilogue)];
+    EXPECT_GT(score, 0) << "user " << t.user << ", n " << t.n;
+    EXPECT_GE(sub, 0);
+    EXPECT_LE(sub, score);
+  };
+
+  const int64_t gemm_before = value_of("serve.score.requests.gemm");
+  const int64_t pairwise_before = value_of("serve.score.requests.pairwise");
+  const serve::RecResponse r = service.TopN(1, 3);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(value_of("serve.score.requests.gemm"), gemm_before + 1);
+  EXPECT_EQ(value_of("serve.score.requests.pairwise"), pairwise_before);
+  std::vector<obs::RequestTrace> recent =
       service.observer().recorder()->Recent();
-  ASSERT_FALSE(recent.empty());
-  const obs::RequestTrace& t = recent[0];
-  const int64_t score = t.stage_ns[static_cast<int>(obs::Stage::kScore)];
-  const int64_t sub = t.stage_ns[static_cast<int>(obs::Stage::kScoreGemm)] +
-                      t.stage_ns[static_cast<int>(obs::Stage::kScoreEpilogue)];
-  EXPECT_GT(score, 0);
-  EXPECT_GE(sub, 0);
-  EXPECT_LE(sub, score);
+  ASSERT_EQ(recent.size(), 1u);
+  expect_score_breakdown(recent[0]);
+
+  // Two requests of one user in one batch share one candidate list, and
+  // each still scores on its own: two more traces, each with its own
+  // score stage and breakdown, and two more gemm-scored requests.
+  const std::vector<serve::RecResponse> batch =
+      service.TopNBatch({{1, 3}, {1, 5}});
+  ASSERT_EQ(batch.size(), 2u);
+  for (const serve::RecResponse& b : batch)
+    ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_EQ(value_of("serve.score.requests.gemm"), gemm_before + 3);
+  recent = service.observer().recorder()->Recent();
+  ASSERT_EQ(recent.size(), 3u);
+  EXPECT_EQ(recent[1].n, 3);
+  EXPECT_EQ(recent[2].n, 5);
+  expect_score_breakdown(recent[1]);
+  expect_score_breakdown(recent[2]);
 }
 
 TEST(ServiceObservability, DisabledByDefaultAndInert) {
@@ -919,7 +926,6 @@ TEST(ServiceObservability, DisabledByDefaultAndInert) {
 TEST(ServiceObservability, RequestsLandInWindowsStagesAndRecorder) {
   serve::ServeOptions so;
   so.num_threads = 2;
-  so.batch_size = 2;
   so.observer.enabled = true;
   so.observer.sample_every_n = 1;  // trace every request
   so.observer.recorder.recent_capacity = 16;
@@ -1008,7 +1014,6 @@ TEST(ServiceObservability, RequestsLandInWindowsStagesAndRecorder) {
 TEST(ServiceObservability, ConcurrentBatchesSwapAndExportHammer) {
   serve::ServeOptions so;
   so.num_threads = 4;
-  so.batch_size = 4;
   so.observer.enabled = true;
   so.observer.sample_every_n = 3;
   so.observer.recorder.recent_capacity = 32;

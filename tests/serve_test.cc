@@ -1183,25 +1183,6 @@ TEST(FrozenScorer, BatchMatchesOracleOnDegenerateShapes) {
                        "dim-0 model");
 }
 
-TEST(FrozenScorer, StackedPassMatchesEachSoloRequest) {
-  const FrozenScorer scorer(TinyData());
-  const std::vector<int32_t> candidates = {0, 1, 2, 3};
-  const std::vector<std::vector<int32_t>> profiles = {
-      {0}, {1, 0}, {}, {3, 2, 1}};
-  std::vector<std::vector<double>> scores(profiles.size());
-  std::vector<FrozenScorer::StackedRequest> stacked;
-  stacked.reserve(profiles.size());
-  for (size_t i = 0; i < profiles.size(); ++i)
-    stacked.push_back({&profiles[i], &scores[i]});
-  ScoreBatchStats stats;
-  scorer.ScoreStackedInto(stacked, candidates, &stats);
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    ExpectBitEqualScores(scorer.Score(profiles[i], candidates), scores[i],
-                         "stacked user " + std::to_string(i));
-  }
-  EXPECT_GE(stats.gather_ns, 0);
-}
-
 TEST(FrozenScorer, HeapSelectionKeepsThePartialSortContract) {
   // Many ties: the heap path must reproduce (score desc, id asc) exactly,
   // including the keep >= size and keep == size - 1 boundaries.
@@ -1305,8 +1286,6 @@ void ExpectScoresFromSnapshotRows(const FrozenScorer& scorer,
   const std::vector<std::vector<int32_t>> profiles = {
       {29}, {47, 0}, {5, 5, 12}, {}, {1, 3, 8, 13, 21, 34, 40, 44, 46, 2}};
   for (const auto* candidates : {&ascending, &scrambled}) {
-    std::vector<std::vector<double>> stacked_scores(profiles.size());
-    std::vector<FrozenScorer::StackedRequest> stacked;
     for (size_t u = 0; u < profiles.size(); ++u) {
       const std::vector<double> want =
           ScoresFromRows(d, profiles[u], *candidates);
@@ -1315,13 +1294,6 @@ void ExpectScoresFromSnapshotRows(const FrozenScorer& scorer,
                            what + " Score");
       ExpectBitEqualScores(want, scorer.ScoreBatch(profiles[u], *candidates),
                            what + " ScoreBatch");
-      stacked.push_back({&profiles[u], &stacked_scores[u]});
-    }
-    scorer.ScoreStackedInto(stacked, *candidates, nullptr);
-    for (size_t u = 0; u < profiles.size(); ++u) {
-      ExpectBitEqualScores(ScoresFromRows(d, profiles[u], *candidates),
-                           stacked_scores[u],
-                           "stacked profile " + std::to_string(u));
     }
   }
   for (size_t u = 0; u < profiles.size(); ++u) {
@@ -1460,9 +1432,9 @@ TEST(SnapshotEndToEnd, FrozenScoresMatchLiveNPRecOnEveryPreset) {
 
 TEST(SnapshotEndToEnd, BatchEngineMatchesOracleOnEveryPresetAndThreadCount) {
   // The acceptance gate of the batched scorer: on every dataset preset and
-  // for SUBREC_NUM_THREADS in {1, 2, 4}, ScoreBatch and the stacked
-  // multi-user pass are bit-exact against the per-pair oracle (itself
-  // bit-exact against live NPRec per the test above). The thread sweep
+  // for SUBREC_NUM_THREADS in {1, 2, 4}, ScoreBatch is bit-exact against
+  // the per-pair oracle (itself bit-exact against live NPRec per the test
+  // above), on each user's own list and on the full pool. The thread sweep
   // guards the whole frozen pipeline — freeze, ANN build, candidate index
   // — against picking up a thread-count-dependent operation order.
   for (const PresetCase& preset : AllPresets()) {
@@ -1479,11 +1451,8 @@ TEST(SnapshotEndToEnd, BatchEngineMatchesOracleOnEveryPresetAndThreadCount) {
       index_options.min_year = kSplitYear;
       const CandidateIndex index(parsed.value(), index_options);
 
-      // Solo batch vs oracle, per user.
+      // Batch vs oracle, per user, on the user's list and the full pool.
       int compared = 0;
-      std::vector<FrozenScorer::StackedRequest> stacked;
-      std::vector<std::vector<double>> stacked_scores;
-      std::vector<const std::vector<int32_t>*> stacked_profiles;
       const std::vector<int32_t>& pool = index.AllNewPapers();
       const auto& profiles = parsed.value().profiles;
       for (size_t u = 0; u < profiles.size() && compared < 6; ++u) {
@@ -1493,21 +1462,12 @@ TEST(SnapshotEndToEnd, BatchEngineMatchesOracleOnEveryPresetAndThreadCount) {
         ExpectBitEqualScores(scorer.Score(profiles[u], candidates),
                              scorer.ScoreBatch(profiles[u], candidates),
                              "user " + std::to_string(u));
-        stacked_profiles.push_back(&profiles[u]);
+        ExpectBitEqualScores(scorer.Score(profiles[u], pool),
+                             scorer.ScoreBatch(profiles[u], pool),
+                             "user " + std::to_string(u) + " pool");
         ++compared;
       }
       ASSERT_GT(compared, 0);
-
-      // Stacked pass over the shared pool vs each user's oracle.
-      stacked_scores.resize(stacked_profiles.size());
-      for (size_t i = 0; i < stacked_profiles.size(); ++i)
-        stacked.push_back({stacked_profiles[i], &stacked_scores[i]});
-      scorer.ScoreStackedInto(stacked, pool, nullptr);
-      for (size_t i = 0; i < stacked_profiles.size(); ++i) {
-        ExpectBitEqualScores(scorer.Score(*stacked_profiles[i], pool),
-                             stacked_scores[i],
-                             "stacked slot " + std::to_string(i));
-      }
     }
   }
 }
@@ -1667,10 +1627,10 @@ TEST_F(ServiceTest, RejectsUnknownUsers) {
 }
 
 TEST_F(ServiceTest, PairwiseAndGemmModesServeIdenticalResults) {
-  // The service scores with the GEMM engine, solo or coalesced; the
-  // per-pair scorer is the reference ranking. With the cache off, every
-  // user's served list must equal the per-pair ranking over the same
-  // candidates — papers AND score bits.
+  // The service scores with the GEMM engine, through TopN and TopNBatch
+  // alike; the per-pair scorer is the reference ranking. With the cache
+  // off, every user's served list must equal the per-pair ranking over the
+  // same candidates — papers AND score bits.
   ServeOptions options;
   options.cache_capacity = 0;
   RecommendService service(options);
@@ -1700,97 +1660,6 @@ TEST_F(ServiceTest, PairwiseAndGemmModesServeIdenticalResults) {
   }
 }
 
-TEST_F(ServiceTest, BatchCoalescesRequestsSharingACandidateList) {
-  ServeOptions options;
-  options.cache_capacity = 0;  // every request must actually score
-  options.batch_size = 8;
-  options.num_threads = 1;
-  RecommendService service(options);
-  ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
-  const int32_t user = AUser();
-
-  // Baselines from the solo path.
-  const RecResponse solo3 = service.TopN(user, 3);
-  const RecResponse solo5 = service.TopN(user, 5);
-  ASSERT_TRUE(solo3.status.ok());
-  ASSERT_TRUE(solo5.status.ok());
-
-  auto counter_value = [](const std::string& name) {
-    const auto snap = obs::MetricsRegistry::Global().Snapshot().counters;
-    const auto it = snap.find(name);
-    return it == snap.end() ? int64_t{0} : it->second;
-  };
-  const int64_t passes_before = counter_value("serve.score.stacked_passes");
-  const int64_t stacked_before =
-      counter_value("serve.score.requests.stacked");
-
-  // Same user twice in one chunk: both draw the same candidate-list
-  // reference, so the chunk pre-pass stacks them into one GEMM; the
-  // third request (invalid user) must be rejected untouched.
-  const std::vector<RecResponse> batch =
-      service.TopNBatch({{user, 3}, {user, 5}, {-7, 4}});
-  ASSERT_EQ(batch.size(), 3u);
-  ASSERT_TRUE(batch[0].status.ok());
-  ASSERT_TRUE(batch[1].status.ok());
-  EXPECT_EQ(batch[2].status.code(), StatusCode::kInvalidArgument);
-
-  EXPECT_EQ(counter_value("serve.score.stacked_passes"), passes_before + 1);
-  EXPECT_EQ(counter_value("serve.score.requests.stacked"),
-            stacked_before + 2);
-
-  // Coalesced results are bit-identical to the solo path.
-  const std::vector<const RecResponse*> want = {&solo3, &solo5};
-  for (size_t r = 0; r < want.size(); ++r) {
-    ASSERT_EQ(batch[r].items.size(), want[r]->items.size()) << "req " << r;
-    for (size_t i = 0; i < batch[r].items.size(); ++i) {
-      EXPECT_EQ(batch[r].items[i].paper, want[r]->items[i].paper);
-      EXPECT_EQ(batch[r].items[i].score, want[r]->items[i].score);
-    }
-  }
-
-  // Two distinct users whose profiles span one topic and discipline set
-  // hold one shared list, so their requests stack into one pass too.
-  const std::shared_ptr<const ServingState> state = service.state();
-  std::map<const std::vector<int32_t>*, int32_t> first_user_of_list;
-  int32_t user_a = -1, user_b = -1;
-  for (size_t u = 0; u < state->profiles.size() && user_b < 0; ++u) {
-    const auto id = static_cast<int32_t>(u);
-    const CandidateSource source = state->index.SourceFor(id);
-    if (source != CandidateSource::kTopicPruned &&
-        source != CandidateSource::kDisciplineFiltered)
-      continue;
-    const auto [it, inserted] =
-        first_user_of_list.try_emplace(&state->index.CandidatesFor(id), id);
-    if (!inserted) {
-      user_a = it->second;
-      user_b = id;
-    }
-  }
-  ASSERT_GE(user_b, 0) << "no two users share a filtered list";
-  ASSERT_NE(state->profiles[static_cast<size_t>(user_a)],
-            state->profiles[static_cast<size_t>(user_b)]);
-  const RecResponse solo_a = service.TopN(user_a, 4);
-  const RecResponse solo_b = service.TopN(user_b, 6);
-  ASSERT_TRUE(solo_a.status.ok());
-  ASSERT_TRUE(solo_b.status.ok());
-  const int64_t passes_mid = counter_value("serve.score.stacked_passes");
-  const int64_t stacked_mid = counter_value("serve.score.requests.stacked");
-  const std::vector<RecResponse> pair =
-      service.TopNBatch({{user_a, 4}, {user_b, 6}});
-  ASSERT_EQ(pair.size(), 2u);
-  EXPECT_EQ(counter_value("serve.score.stacked_passes"), passes_mid + 1);
-  EXPECT_EQ(counter_value("serve.score.requests.stacked"), stacked_mid + 2);
-  const std::vector<const RecResponse*> want_pair = {&solo_a, &solo_b};
-  for (size_t r = 0; r < want_pair.size(); ++r) {
-    ASSERT_TRUE(pair[r].status.ok()) << "req " << r;
-    ASSERT_EQ(pair[r].items.size(), want_pair[r]->items.size()) << "req " << r;
-    for (size_t i = 0; i < pair[r].items.size(); ++i) {
-      EXPECT_EQ(pair[r].items[i].paper, want_pair[r]->items[i].paper);
-      EXPECT_EQ(pair[r].items[i].score, want_pair[r]->items[i].score);
-    }
-  }
-}
-
 TEST_F(ServiceTest, RejectsOversizedNInEveryBuildMode) {
   RecommendService service(ServeOptions{});
   ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
@@ -1807,17 +1676,18 @@ TEST_F(ServiceTest, RejectsOversizedNInEveryBuildMode) {
 TEST_F(ServiceTest, DestructionWithQueuedBatchesIsSafe) {
   // Tear the service down while SubmitBatch work is still queued and the
   // returned futures have been dropped: the pool must drain before the
-  // cache and state die (ASan/TSan presets make this a hard gate).
+  // cache and state die (ASan/TSan presets make this a hard gate). Twenty
+  // requests make three pool tasks of at most eight, so each batch's
+  // dropped future also holds chunk futures.
   const int32_t user = AUser();
   {
     ServeOptions options;
     options.num_threads = 2;
-    options.batch_size = 2;
     RecommendService service(options);
     ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
     for (int round = 0; round < 50; ++round) {
       std::vector<RecRequest> requests;
-      for (int i = 0; i < 8; ++i) requests.push_back({user, 1 + (i % 7)});
+      for (int i = 0; i < 20; ++i) requests.push_back({user, 1 + (i % 7)});
       service.SubmitBatch(std::move(requests));  // future dropped on purpose
     }
   }
@@ -1914,20 +1784,26 @@ TEST_F(ServiceTest, SwapDropsTheOldGenerationOutsideTheStateLock) {
 TEST_F(ServiceTest, BatchMatchesIndividualRequests) {
   ServeOptions options;
   options.num_threads = 4;
-  options.batch_size = 3;
+  options.cache_capacity = 0;  // every request scores, batched and alone
   RecommendService service(options);
   ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
 
+  // Twenty users over three pool tasks, with an unknown user in the
+  // middle: it is rejected in place while the rest are served.
   std::vector<RecRequest> requests;
   const size_t num_users = service.state()->profiles.size();
   for (size_t u = 0; u < num_users && requests.size() < 20; ++u)
     requests.push_back({static_cast<int32_t>(u), 4});
+  const size_t bad = requests.size() / 2;
+  requests.insert(requests.begin() + static_cast<ptrdiff_t>(bad), {-7, 4});
   const std::vector<RecResponse> batch = service.TopNBatch(requests);
   ASSERT_EQ(batch.size(), requests.size());
+  EXPECT_EQ(batch[bad].status.code(), StatusCode::kInvalidArgument);
   for (size_t i = 0; i < requests.size(); ++i) {
     const RecResponse individual =
         service.TopN(requests[i].user, requests[i].n);
     ASSERT_EQ(batch[i].status.ok(), individual.status.ok());
+    ASSERT_EQ(batch[i].status.ok(), i != bad) << "request " << i;
     if (!individual.status.ok()) continue;
     ASSERT_EQ(batch[i].items.size(), individual.items.size());
     for (size_t j = 0; j < individual.items.size(); ++j) {
@@ -1943,7 +1819,6 @@ TEST_F(ServiceTest, BatchMatchesIndividualRequests) {
 TEST_F(ServiceTest, CorruptReloadUnderLoadKeepsTheOldGeneration) {
   ServeOptions options;
   options.num_threads = 4;
-  options.batch_size = 4;
   RecommendService service(options);
   ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
 
@@ -2028,7 +1903,6 @@ TEST_F(ServiceTest, CorruptReloadUnderLoadKeepsTheOldGeneration) {
 TEST_F(ServiceTest, ConcurrentBatchesSurviveHotReload) {
   ServeOptions options;
   options.num_threads = 4;
-  options.batch_size = 4;
   RecommendService service(options);
   ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
 
